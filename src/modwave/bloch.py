@@ -20,7 +20,6 @@ from itertools import permutations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigvals
 
 from .bo import BOWaveParams, bo_eval
 from .errors import BranchMixing, ResolutionError
@@ -38,6 +37,10 @@ class BlochMatrix:
     matrix: np.ndarray
 
     def eigenvalues(self) -> np.ndarray:
+        # scipy's LAPACK, imported at first use so that `import modwave`
+        # loads no scipy; numpy's build orders the ~1e-12 real-part noise of
+        # the near-zero eigenvalues differently
+        from scipy.linalg import eigvals
         return eigvals(self.matrix)
 
 

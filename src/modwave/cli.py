@@ -3,9 +3,10 @@
 Subcommands: classify, sweep, smallamp, bloch-check, validate.
 Exit codes for classify: 0 stable, 10 unstable, 20 degenerate,
 30 hypothesis-failed, 1 error.  Reports embed the resolved-convention
-fingerprint so numbers stay comparable across versions.  Sweeps run on a
-worker pool (--jobs / MODWAVE_JOBS) and emit rows in row-major grid order
-regardless of parallelism.
+fingerprint so numbers stay comparable across versions.  A sweep
+classifies its grid in one process, SWEEP_CHUNK points per batched
+classify call, and emits rows in row-major grid order; a row's timing_s
+is its chunk's wall time divided by the chunk's row count.
 """
 from __future__ import annotations
 
@@ -13,10 +14,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -38,6 +37,8 @@ from .waves import cnoidal_period, quadrature_TMPH, resolve_profile
 EXIT_BY_LABEL = {"stable": 0, "unstable": 10, "degenerate": 20,
                  "hypothesis-failed": 30}
 
+SWEEP_CHUNK = 1024          # grid points per batched classify call (bounds memory)
+
 CSV_SCHEMA = "modwave-report-1"
 CSV_COLUMNS = ["equation", "a", "E", "c", "branch", "classification",
                "delta_mi", "mu1", "mu2", "mu3", "T", "M", "P",
@@ -58,15 +59,18 @@ def equation_from_name(name: str) -> EquationSpec:
 
 def _report_record(name: str, params: WaveParams, branch: int, report, dt: float) -> dict:
     mu = [complex(x) for x in np.atleast_1d(report.mu_roots)]
+    diagnostics = {k: v for k, v in report.diagnostics.items() if k != "slopes"}
+    for key in ("T", "M", "P"):           # plain floats: CSV fields print by repr
+        if key in diagnostics:
+            diagnostics[key] = float(diagnostics[key])
     rec = {
         "equation": name,
         "a": params.a, "E": params.E, "c": params.c, "branch": branch,
         "classification": report.classification,
-        "delta_mi": None if np.isnan(report.delta_mi) else report.delta_mi,
+        "delta_mi": None if np.isnan(report.delta_mi) else float(report.delta_mi),
         "mu_roots": [[m.real, m.imag] for m in mu],
         "hypothesis_flags": report.hypothesis_flags,
-        "diagnostics": {k: v for k, v in report.diagnostics.items()
-                        if k not in ("slopes",)},
+        "diagnostics": diagnostics,
         "timing_s": dt,
         "version": __version__,
         "convention_fingerprint": fingerprint(),
@@ -125,15 +129,6 @@ def _require_number(cfg: dict, field: str):
     return float(val)
 
 
-def _classify_once(args_tuple):
-    name, a, E, c, branch, tol_quad = args_tuple
-    spec = equation_from_name(name)
-    t0 = time.perf_counter()
-    report = classify(spec, WaveParams(a, E, c), branch=branch, tol_quad=tol_quad)
-    return _report_record(name, WaveParams(a, E, c), branch, report,
-                          time.perf_counter() - t0)
-
-
 def cmd_classify(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     name = args.equation or cfg.get("equation", {}).get("name")
@@ -144,7 +139,10 @@ def cmd_classify(args) -> int:
     E = args.E if args.E is not None else _require_number(p, "E")
     c = args.c if args.c is not None else _require_number(p, "c")
     branch = args.branch if args.branch is not None else int(p.get("branch", 0))
-    rec = _classify_once((name, a, E, c, branch, args.tol_quad))
+    spec = equation_from_name(name)
+    t0 = time.perf_counter()
+    report = classify(spec, WaveParams(a, E, c), branch=branch, tol_quad=args.tol_quad)
+    rec = _report_record(name, WaveParams(a, E, c), branch, report, time.perf_counter() - t0)
     _emit([rec], args.format, args.out)
     return EXIT_BY_LABEL.get(rec["classification"], 1)
 
@@ -167,14 +165,16 @@ def cmd_sweep(args) -> int:
         else:
             axes.append((key, np.array([_require_number(cfg.get("parameters", {}), key)])))
     branch = int(cfg.get("parameters", {}).get("branch", 0))
-    tasks = [(name, float(av), float(Ev), float(cv), branch, args.tol_quad)
-             for av in axes[0][1] for Ev in axes[1][1] for cv in axes[2][1]]
-    jobs = int(os.environ.get("MODWAVE_JOBS", args.jobs))
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            records = pool.map(_classify_once, tasks)
-    else:
-        records = [_classify_once(t) for t in tasks]
+    spec = equation_from_name(name)
+    grid = [g.ravel() for g in np.meshgrid(*(ax for _, ax in axes), indexing="ij")]
+    records = []
+    for lo in range(0, grid[0].size, SWEEP_CHUNK):
+        a, E, c = (g[lo:lo + SWEEP_CHUNK] for g in grid)
+        t0 = time.perf_counter()
+        reports = classify(spec, WaveParams(a, E, c), branch=branch, tol_quad=args.tol_quad)
+        dt = (time.perf_counter() - t0) / len(reports)
+        records += [_report_record(name, WaveParams(*abc), branch, rep, dt)
+                    for abc, rep in zip(zip(a.tolist(), E.tolist(), c.tolist()), reports)]
     _emit(records, args.format, args.out)
     return 0
 
@@ -349,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--tol-quad", dest="tol_quad", type=float, default=None)
         p.add_argument("--modes", type=int, default=64, help="Bloch truncation N")
-        p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("classify", help="classify one wave")
     common(p)

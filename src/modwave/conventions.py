@@ -11,6 +11,7 @@ report so results remain comparable across versions.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
@@ -51,7 +52,8 @@ CONVENTIONS = {
 }
 
 
+@functools.cache
 def fingerprint() -> str:
-    """12-hex digest of the convention table."""
+    """12-hex digest of the convention table (computed once per process)."""
     blob = json.dumps(CONVENTIONS, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]

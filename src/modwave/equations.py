@@ -9,16 +9,21 @@ Periodic waves correspond to oscillation intervals [u-, u+] on which the
 potential polynomial P(u) = E - V(u) is positive with simple roots at the
 endpoints.  Power-law (Schamel) nonlinearities are reduced to polynomial
 form by u = v^2; the module then stores and classifies the v-side quintic.
+
+WaveParams may carry 1-D arrays of (a, E, c): a batch of waves of one
+equation.  potential_polynomial and classify_parameters then work on all
+rows at once (roots from stacked companion matrices), and a row that
+fails is recorded in the result's ``failures`` instead of raising.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import DegenerateRoots, DomainError, NonlocalUnsupported
+from .errors import DegenerateRoots, DomainError, NonlocalUnsupported, flag_rows
 
 TOL_ROOT = 1e-9          # realness/multiplicity decisions, relative to coeff norm
 
@@ -101,14 +106,35 @@ class WaveParams:
     c: float
     z0: float = 0.0
 
+    @property
+    def is_batch(self) -> bool:
+        return any(x.ndim > 0 if isinstance(x, np.ndarray) else
+                   not isinstance(x, (float, int)) and np.ndim(x) > 0
+                   for x in (self.a, self.E, self.c))
+
+    def as_batch(self) -> "WaveParams":
+        """The same waves with (a, E, c) as equal-length 1-D float arrays."""
+        a, E, c = abc = (self.a, self.E, self.c)
+        if (type(a) is type(E) is type(c) is np.ndarray and a.ndim == 1
+                and a.shape == E.shape == c.shape and a.dtype == E.dtype == c.dtype == float):
+            return self
+        if not self.is_batch:
+            return WaveParams(np.array([a], float), np.array([E], float),
+                              np.array([c], float), self.z0)
+        a, E, c = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=float)) for x in abc))
+        if a.ndim != 1:
+            raise DomainError("a batch of wave parameters must be one-dimensional")
+        return WaveParams(a, E, c, self.z0)
+
 
 @dataclass(frozen=True)
 class PotentialPolynomial:
     """P(w) = E - V in the integration variable w (w = u, or w = v = sqrt(u)
     for Schamel).  ``weight_power`` is the extra w-power in the moment
-    measure (0 for u-side, 1 for the 2v dv Schamel measure)."""
+    measure (0 for u-side, 1 for the 2v dv Schamel measure).  For a batch
+    of waves ``coeffs`` is a (B, degree + 1) array, one row per wave."""
 
-    coeffs: tuple                 # ascending
+    coeffs: tuple                 # ascending; (B, degree + 1) array for a batch
     var: str                      # "u" or "v"
     weight_power: int = 0         # measure weight w^weight_power (with factor 2 for v)
     tmp_indices: tuple = (0, 1, 2)
@@ -116,10 +142,10 @@ class PotentialPolynomial:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return np.shape(self.coeffs)[-1] - 1
 
     def __call__(self, w):
-        return npoly.polyval(np.asarray(w, dtype=float), np.asarray(self.coeffs))
+        return polyval(self.coeffs, w)
 
     def derivative_coeffs(self) -> np.ndarray:
         return npoly.polyder(np.asarray(self.coeffs))
@@ -127,6 +153,66 @@ class PotentialPolynomial:
     @property
     def coeff_norm(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
+
+    def row(self, i: int) -> "PotentialPolynomial":
+        return replace(self, coeffs=tuple(np.asarray(self.coeffs)[i].tolist()))
+
+
+def polyval(coeffs, x):
+    """Ascending coefficients along the last axis of ``coeffs``, evaluated
+    at x by Horner's rule in numpy.polynomial.polyval's operation order.
+    Leading axes of coeffs (one per wave) pair with the leading axes of x;
+    trailing axes of x are evaluation points."""
+    c = np.asarray(coeffs, dtype=float)
+    x = np.asarray(x, dtype=float)
+    c = c.reshape(c.shape[:-1] + (1,) * (x.ndim - c.ndim + 1) + c.shape[-1:])
+    c0 = c[..., -1] + x * 0
+    for i in range(2, c.shape[-1] + 1):
+        c0 = c[..., -i] + c0 * x
+    return c0
+
+
+def companion_roots(coeffs) -> np.ndarray:
+    """All roots of each row of ascending coefficients (B, n + 1), built as
+    numpy.roots builds them: eigenvalues of the companion matrix of the
+    trimmed polynomial, stacked over rows with equal trimming, then one
+    exact zero per vanishing low-order coefficient.  The leading
+    coefficient must be nonzero.  Returns (B, n) complex roots."""
+    c = np.asarray(coeffs, dtype=float)
+    n_zero = np.argmax(c != 0.0, axis=1)        # roots at exactly zero
+    if not n_zero.any():
+        return _companion_eigvals(c)
+    out = np.zeros((c.shape[0], c.shape[1] - 1), dtype=complex)
+    for z in np.unique(n_zero):
+        rows = np.flatnonzero(n_zero == z)
+        out[rows, :c.shape[1] - 1 - z] = _companion_eigvals(c[rows, z:])
+    return out
+
+
+def _companion_eigvals(c) -> np.ndarray:
+    """Eigenvalues of the companion matrices of the rows of c (ascending,
+    nonzero constant and leading coefficients), as numpy.roots builds them."""
+    B, m = c.shape[0], c.shape[1] - 1
+    if m == 0:
+        return np.zeros((B, 0), dtype=complex)
+    A = np.zeros((B, m, m))
+    A[:, 1:, :-1] = np.eye(m - 1)
+    A[:, 0, :] = -c[:, -2::-1] / c[:, -1:]
+    return np.linalg.eigvals(A).astype(complex, copy=False)
+
+
+def _root_structure(coeffs):
+    """Per row of (B, n + 1) ascending coefficients: the real roots ascending
+    (nan-padded to n), their count, the count of complex-conjugate pairs
+    and whether two real roots coincide to tolerance."""
+    c = np.asarray(coeffs, dtype=float)
+    tol = TOL_ROOT * (1.0 + np.abs(c).max(axis=1, keepdims=True))
+    r = companion_roots(c)
+    is_real = np.abs(r.imag) < tol
+    real = np.sort(np.where(is_real, r.real, np.nan), axis=1)
+    n_real = is_real.sum(axis=1)
+    repeated = (np.diff(real, axis=1) < tol).any(axis=1)    # nan pads compare False
+    return real, n_real, (r.shape[1] - n_real) // 2, repeated
 
 
 def effective_potential(spec: EquationSpec, a: float, c: float, u) -> float:
@@ -144,19 +230,26 @@ def effective_potential(spec: EquationSpec, a: float, c: float, u) -> float:
 
 
 def potential_polynomial(spec: EquationSpec, params: WaveParams) -> PotentialPolynomial:
-    """P = E - V as a polynomial, in u for polynomial f, in v for Schamel."""
+    """P = E - V as a polynomial, in u for polynomial f, in v for Schamel;
+    a batch of parameters gives one coefficient row per wave."""
+    batch = params.is_batch
+    if batch:
+        params = params.as_batch()
     a, E, c = params.a, params.E, params.c
     if spec.kind == "local-polynomial":
         F = spec.F_coeffs()
-        coeffs = -F
-        coeffs[0] += E
-        coeffs[1] += a
-        coeffs[2] -= 0.5 * c
-        return PotentialPolynomial(tuple(coeffs), var="u")
+        coeffs = np.empty(np.shape(a) + F.shape)
+        coeffs[...] = -F
+        coeffs[..., 0] += E
+        coeffs[..., 1] += a
+        coeffs[..., 2] -= 0.5 * c
+        return PotentialPolynomial(coeffs if batch else tuple(coeffs), var="u")
     if spec.kind == "local-power":
         # u = v^2:  P_v(v) = E + a v^2 - (c/2) v^4 - (coeff*2/5) v^5
         lead = spec.power_coeff * 2.0 / 5.0
         coeffs = (E, 0.0, a, 0.0, -0.5 * c, -lead)
+        if batch:
+            coeffs = np.stack([np.broadcast_to(x, a.shape) for x in coeffs], axis=-1)
         return PotentialPolynomial(coeffs, var="v", weight_power=1,
                                    tmp_indices=(1, 3, 5), grad_offsets=(2, 0, 4))
     raise NonlocalUnsupported("no potential polynomial for nonlocal dispersion")
@@ -165,20 +258,17 @@ def potential_polynomial(spec: EquationSpec, params: WaveParams) -> PotentialPol
 def potential_roots(poly: PotentialPolynomial, raise_on_degenerate: bool = True):
     """Real roots of P ascending + count of complex-conjugate pairs.
 
-    Root finding is companion-matrix based (numpy.roots).  A root is real
+    Root finding is companion-matrix based (as numpy.roots).  A root is real
     if |Im| < TOL_ROOT * (1 + coeff norm); two roots closer than that are a
     repeated root and raise DegenerateRoots (parameters on the variety).
     """
     if poly.degree < 2:
         raise DomainError("potential polynomial must have degree >= 2")
-    tol = TOL_ROOT * (1.0 + poly.coeff_norm)
-    r = np.roots(np.asarray(poly.coeffs)[::-1])
-    real = np.sort(r[np.abs(r.imag) < tol].real)
-    n_complex_pairs = (len(r) - len(real)) // 2
-    if len(real) >= 2 and np.min(np.diff(real)) < tol:
-        if raise_on_degenerate:
-            raise DegenerateRoots("repeated real root of E - V", roots=real)
-    return real, n_complex_pairs
+    real, n_real, n_pairs, repeated = _root_structure(np.asarray(poly.coeffs, float)[None])
+    real = real[0, :n_real[0]]
+    if repeated[0] and raise_on_degenerate:
+        raise DegenerateRoots("repeated real root of E - V", roots=real)
+    return real, int(n_pairs[0])
 
 
 def _sylvester(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -209,7 +299,12 @@ class Classification:
     """Outcome of classify_parameters.  status is "periodic", "on-gamma",
     or "no-bounded-orbit".  For periodic orbits, (w_minus, w_plus) is the
     oscillation interval in the integration variable and (u_minus, u_plus)
-    the physical one; ``intervals`` lists all coexisting branches."""
+    the physical one; ``intervals`` lists all coexisting branches.
+
+    For a batch every field but ``branch`` is an array with one entry per
+    wave (``intervals`` is (B, pairs, 2), nan where an adjacent root pair
+    bounds no orbit), and ``failures`` maps a row to the error a single
+    call would raise for it (a branch index out of range)."""
 
     status: str
     w_minus: float = np.nan
@@ -218,10 +313,26 @@ class Classification:
     u_plus: float = np.nan
     intervals: tuple = ()
     branch: int = 0
+    failures: dict = field(default_factory=dict)
 
     @property
     def is_periodic(self) -> bool:
         return self.status == "periodic"
+
+    def row(self, i: int) -> "Classification":
+        """Row i of a batch as a single classification (raises its failure)."""
+        if i in self.failures:
+            raise self.failures[i]
+        return Classification(
+            status=str(self.status[i]), w_minus=float(self.w_minus[i]),
+            w_plus=float(self.w_plus[i]), u_minus=float(self.u_minus[i]),
+            u_plus=float(self.u_plus[i]),
+            intervals=tuple((lo, hi) for lo, hi in self.intervals[i].tolist()
+                            if not np.isnan(lo)),
+            branch=self.branch)
+
+
+STATUS = np.array(["periodic", "on-gamma", "no-bounded-orbit"])
 
 
 def classify_parameters(spec: EquationSpec, params: WaveParams,
@@ -231,34 +342,37 @@ def classify_parameters(spec: EquationSpec, params: WaveParams,
     Periodic intervals are adjacent pairs of simple real roots with P > 0
     between them, ordered by left endpoint; ``branch`` selects among
     coexisting families (focusing mKdV has two).  Repeated roots classify
-    as on-gamma, no positivity interval as no-bounded-orbit.
+    as on-gamma, no positivity interval as no-bounded-orbit.  A batch of
+    parameters gives a batch Classification.
     """
     if not spec.is_local:
         raise NonlocalUnsupported("classification requires a local equation")
-    poly = potential_polynomial(spec, params)
-    try:
-        real, _ = potential_roots(poly)
-    except DegenerateRoots:
-        return Classification(status="on-gamma")
-    intervals = []
-    for i in range(len(real) - 1):
-        lo, hi = real[i], real[i + 1]
-        if poly.var == "v" and lo <= 0.0:
-            continue          # Schamel profiles must stay positive
-        if poly(0.5 * (lo + hi)) > 0.0:
-            intervals.append((lo, hi))
-    if not intervals:
-        return Classification(status="no-bounded-orbit")
-    if not 0 <= branch < len(intervals):
-        raise DomainError(f"branch {branch} out of range; {len(intervals)} interval(s)")
-    lo, hi = intervals[branch]
+    batch = params.as_batch()
+    poly = potential_polynomial(spec, batch)
+    real, _, _, repeated = _root_structure(poly.coeffs)
+    lo, hi = real[:, :-1], real[:, 1:]           # adjacent roots; nan past the real ones
+    valid = (polyval(poly.coeffs, 0.5 * (lo + hi)) > 0.0) & ~repeated[:, None]
     if poly.var == "v":
-        u_lo, u_hi = lo * lo, hi * hi
-    else:
-        u_lo, u_hi = lo, hi
-    return Classification(status="periodic", w_minus=lo, w_plus=hi,
-                          u_minus=u_lo, u_plus=u_hi,
-                          intervals=tuple(intervals), branch=branch)
+        valid &= lo > 0.0          # Schamel profiles must stay positive
+    count = valid.sum(axis=1)
+    status = STATUS[np.where(repeated, 1, np.where(count == 0, 2, 0))]
+    chosen = (count > 0) & ~repeated
+    in_range = (0 <= branch) & (branch < count)
+    failures = {}
+    flag_rows(failures, chosen & ~in_range,
+              lambda i: DomainError(f"branch {branch} out of range; {count[i]} interval(s)"))
+    chosen &= in_range
+    pick = np.arange(len(count)), np.argmax(np.cumsum(valid, axis=1) == branch + 1, axis=1)
+    w_lo = np.where(chosen, lo[pick], np.nan)
+    w_hi = np.where(chosen, hi[pick], np.nan)
+    square = poly.var == "v"
+    out = Classification(
+        status=status, w_minus=w_lo, w_plus=w_hi,
+        u_minus=w_lo * w_lo if square else w_lo,
+        u_plus=w_hi * w_hi if square else w_hi,
+        intervals=np.where(valid[..., None], np.stack([lo, hi], axis=-1), np.nan),
+        branch=branch, failures=failures)
+    return out if params.is_batch else out.row(0)
 
 
 def kdv_params_from_roots(alpha: float, beta: float, gamma: float) -> WaveParams:

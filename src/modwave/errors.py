@@ -1,4 +1,16 @@
-"""Exception types raised across the toolkit."""
+"""Exception types raised across the toolkit, and the per-row failure
+record of batched computations."""
+
+import numpy as np
+
+
+def flag_rows(failures: dict, mask, make, rows=None) -> None:
+    """For each k set in the boolean mask, record make(k) as the failure of
+    row k (row rows[k] if rows are given), unless that row has failed
+    already: its first failure is the one a single-wave call raises."""
+    if mask.any():
+        for k in np.flatnonzero(mask).tolist():
+            failures.setdefault(k if rows is None else int(rows[k]), make(k))
 
 
 class ModwaveError(Exception):

@@ -25,13 +25,13 @@ import numpy as np
 from .conventions import fingerprint
 from .equations import (EquationSpec, WaveParams, discriminant, mkdv_spec,
                         potential_polynomial, potential_roots)
-from .errors import (DegenerateDiscriminant, DegenerateRoots, HypothesisFailed,
-                     ModwaveError)
+from .errors import DegenerateDiscriminant, DegenerateRoots, HypothesisFailed, flag_rows
 from .picard_fuchs import ParamJacobian, param_jacobian
 
 TOL_HYP = 1e-10
 TOL_IM = 1e-8
 TOL_SEP = 1e-8
+HYPOTHESES = ("T_E", "TM_aE", "TMP_aEc")
 
 
 def _index_parts(J: ParamJacobian):
@@ -40,28 +40,48 @@ def _index_parts(J: ParamJacobian):
     return S, D
 
 
+def _index(S, D):
+    """Delta_MI and the depressed-cubic roots sorted by (Re, Im) for arrays
+    S, D.  The roots are the eigenvalues of the companion matrices that
+    numpy.roots builds for [-1, 0, S/2, -D/2] (first row -p[1:]/p[0] =
+    (0, S/2, -D/2); D != 0 once the hypotheses hold), stacked."""
+    S, D = np.atleast_1d(S), np.atleast_1d(D)
+    A = np.zeros((len(S), 3, 3))
+    A[:, 1, 0] = A[:, 2, 1] = 1.0
+    A[:, 0, 1], A[:, 0, 2] = 0.5 * S, -0.5 * D
+    return 0.5 * S ** 3 - 6.75 * D ** 2, np.sort_complex(np.linalg.eigvals(A))
+
+
+def _hypothesis_failures(J: ParamJacobian, tol_hyp: float) -> dict:
+    """{row: HypothesisFailed} where T_E, {T,M}_{a,E} or {T,M,P}_{a,E,c}
+    (the first in that order) vanishes to tolerance."""
+    vals = np.stack([np.atleast_1d(getattr(J, name)) for name in HYPOTHESES], axis=-1)
+    small = np.abs(vals) < tol_hyp
+    first = np.argmax(small, axis=-1)
+    out = {}
+    flag_rows(out, small.any(axis=-1), lambda i: HypothesisFailed(
+        f"{HYPOTHESES[first[i]]} = {vals[i, first[i]]:.3e} within tol_hyp of zero"))
+    return out
+
+
 def check_hypotheses(J: ParamJacobian, tol_hyp: float = TOL_HYP) -> dict:
     """Nondegeneracy flags; raises HypothesisFailed when any of T_E,
     {T,M}_{a,E}, {T,M,P}_{a,E,c} vanishes to tolerance."""
-    flags = {"T_E": J.T_E, "TM_aE": J.TM_aE, "TMP_aEc": J.TMP_aEc}
-    for name, val in flags.items():
-        if abs(val) < tol_hyp:
-            raise HypothesisFailed(f"{name} = {val:.3e} within tol_hyp of zero")
-    return flags
+    failures = _hypothesis_failures(J, tol_hyp)
+    if failures:
+        raise failures[0]
+    return {name: getattr(J, name) for name in HYPOTHESES}
 
 
 def delta_mi(J: ParamJacobian, tol_hyp: float = TOL_HYP) -> float:
     check_hypotheses(J, tol_hyp)
-    S, D = _index_parts(J)
-    return 0.5 * S ** 3 - 6.75 * D ** 2
+    return float(_index(*_index_parts(J))[0][0])
 
 
 def effective_dispersion_roots(J: ParamJacobian, tol_hyp: float = TOL_HYP) -> np.ndarray:
     """Roots nu_j of the depressed cubic, sorted by (Re, Im); they sum to 0."""
     check_hypotheses(J, tol_hyp)
-    S, D = _index_parts(J)
-    r = np.roots([-1.0, 0.0, 0.5 * S, -0.5 * D])
-    return np.sort_complex(r)
+    return _index(*_index_parts(J))[1][0]
 
 
 def modulation_slope_prediction(J: ParamJacobian, tol_hyp: float = TOL_HYP) -> np.ndarray:
@@ -83,43 +103,47 @@ class StabilityReport:
         return self.classification == "stable"
 
 
-def _tol_deg(S: float, D: float) -> float:
-    return 1e-8 * max(abs(S) ** 3, 6.75 * D * D, 1.0)
+def _tol_deg(S, D):
+    return 1e-8 * np.maximum(np.maximum(np.abs(S) ** 3, 6.75 * D * D), 1.0)
 
 
 def classify(spec: EquationSpec, params: WaveParams, branch: int = 0,
-             tol_hyp: float = TOL_HYP, tol_quad: float = None) -> StabilityReport:
+             tol_hyp: float = TOL_HYP, tol_quad: float = None):
     """Full pipeline: classification -> quadrature -> Picard-Fuchs ->
     Delta_MI and the cubic roots.  Near-zero indices report as degenerate,
-    upstream nondegeneracy failures as hypothesis-failed."""
+    upstream nondegeneracy failures as hypothesis-failed.  A batch of
+    parameters gives a list of reports, one per wave in order; a failing
+    wave gets its own hypothesis-failed report and leaves the others as
+    they would be alone."""
     diagnostics = {"convention_fingerprint": fingerprint(), "branch": branch}
-    try:
-        J = param_jacobian(spec, params, branch=branch, tol_quad=tol_quad)
-        flags = check_hypotheses(J, tol_hyp)
-    except HypothesisFailed as exc:
-        return StabilityReport(np.nan, np.full(3, np.nan, complex),
-                               "hypothesis-failed", {}, {**diagnostics, "reason": str(exc)})
-    except (DegenerateRoots, ModwaveError) as exc:
-        return StabilityReport(np.nan, np.full(3, np.nan, complex),
-                               "hypothesis-failed", {},
-                               {**diagnostics, "reason": f"{type(exc).__name__}: {exc}"})
+    J = param_jacobian(spec, params.as_batch(), branch=branch, tol_quad=tol_quad)
+    reasons = {i: f"{type(exc).__name__}: {exc}" for i, exc in J.failures.items()}
+    reasons.update({i: str(exc) for i, exc in _hypothesis_failures(J, tol_hyp).items()
+                    if i not in reasons})
     S, D = _index_parts(J)
-    delta = 0.5 * S ** 3 - 6.75 * D ** 2
-    roots = np.sort_complex(np.roots([-1.0, 0.0, 0.5 * S, -0.5 * D]))
+    B = len(S)
+    ok = np.ones(B, dtype=bool)
+    ok[list(reasons)] = False
+    delta, roots = np.full(B, np.nan), np.full((B, 3), np.nan, complex)
+    delta[ok], roots[ok] = _index(S[ok], D[ok])
+    slopes = np.full((B, 3), np.nan, complex)
+    slopes[ok] = -J.T[ok, None] / roots[ok]
     tol = _tol_deg(S, D)
-    if delta > tol:
-        label = "stable"
-    elif delta < -tol:
-        label = "unstable"
-    else:
-        label = "degenerate"
-    diagnostics.update({
-        "T": J.T, "M": J.M, "P": J.P, "S": S, "D": D,
-        "pf_condition": J.cond, "tol_deg": tol, "tol_hyp": tol_hyp,
-        "TP_Ec": J.TP_Ec, "MP_aE": J.MP_aE,
-        "slopes": list(-J.T / roots),
-    })
-    return StabilityReport(delta, roots, label, flags, diagnostics)
+    labels = np.where(delta > tol, "stable", np.where(delta < -tol, "unstable", "degenerate"))
+    columns = {"T": J.T, "M": J.M, "P": J.P, "S": S, "D": D, "pf_condition": J.cond,
+               "tol_deg": tol, "TP_Ec": J.TP_Ec, "MP_aE": J.MP_aE}
+    values = zip(*(col.tolist() for col in columns.values()))
+    flags = zip(*(getattr(J, name).tolist() for name in HYPOTHESES))
+    reports = []
+    for i, (vals, flag_vals, d, label, slope) in enumerate(
+            zip(values, flags, delta.tolist(), labels.tolist(), slopes.tolist())):
+        if i in reasons:
+            reports.append(StabilityReport(np.nan, np.full(3, np.nan, complex), "hypothesis-failed",
+                                           {}, {**diagnostics, "reason": reasons[i]}))
+            continue
+        reports.append(StabilityReport(d, roots[i], label, dict(zip(HYPOTHESES, flag_vals)), {
+            **diagnostics, **dict(zip(columns, vals)), "tol_hyp": tol_hyp, "slopes": slope}))
+    return reports if params.is_batch else reports[0]
 
 
 def mkdv_root_classifier(a: float, E: float, c: float, sign: int = +1,

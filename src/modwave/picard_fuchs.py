@@ -28,50 +28,63 @@ recurrence one more row.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
-from scipy.linalg import lu_factor, lu_solve
 
-from .equations import EquationSpec, PotentialPolynomial, WaveParams
-from .errors import IllConditioned, SingularSystem
+from .equations import EquationSpec, PotentialPolynomial, WaveParams, potential_polynomial
+from .errors import IllConditioned, SingularSystem, flag_rows
 from .waves import MomentTable, zeta_moments
 
 COND_MAX = 1e12
+# rows and columns of J in the minors {T,M}_{a,E}, {T,P}_{E,c}, {M,P}_{a,E}
+_MINOR_ROWS = np.array([[0, 1], [0, 2], [1, 2]])[:, :, None]
+_MINOR_COLS = np.array([[0, 1], [1, 2], [0, 1]])[:, None, :]
 
 
 @dataclass
 class PicardFuchsSystem:
+    """The Picard-Fuchs system of one wave, or a stack of them (matrix
+    (B, N, N), rhs (B, N)) whose row failures collect in ``failures``."""
+
     matrix: np.ndarray          # (2n-1) x (2n-1) Sylvester matrix of (P, P')
     rhs: np.ndarray
     poly: PotentialPolynomial
     moments: MomentTable
     solution: np.ndarray = None
     cond: float = np.nan
+    failures: dict = field(default_factory=dict)
 
 
 def build_system(poly: PotentialPolynomial, moments: MomentTable) -> PicardFuchsSystem:
     """Assemble the (2n-1)-square system: n-1 shifted rows of P-coefficients
     with rhs (zeta_0..zeta_{n-2}), then n shifted rows of P'-coefficients
-    with rhs (0, 2 zeta_0, ..., 2(n-1) zeta_{n-2})."""
+    with rhs (0, 2 zeta_0, ..., 2(n-1) zeta_{n-2}).  Batch tables give a
+    stack of systems."""
     a = np.asarray(poly.coeffs, dtype=float)
+    zeta = np.asarray(moments.zeta)
     n = poly.degree
     if n < 3:
         raise ValueError("Picard-Fuchs machinery needs degree >= 3")
-    if len(moments.zeta) < n - 1:
+    if zeta.shape[-1] < n - 1:
         raise ValueError(f"need zeta_0..zeta_{n-2}")
     N = 2 * n - 1
-    A = np.zeros((N, N))
-    rhs = np.zeros(N)
+    A = np.zeros(a.shape[:-1] + (N, N))
+    rhs = np.zeros(a.shape[:-1] + (N,))
     for i in range(n - 1):
-        A[i, i:i + n + 1] = a
-        rhs[i] = moments.zeta[i]
-    da = npoly.polyder(a)                  # (a1, 2 a2, ..., n an)
+        A[..., i, i:i + n + 1] = a
+        rhs[..., i] = zeta[..., i]
+    da = a[..., 1:] * np.arange(1, n + 1)   # (a1, 2 a2, ..., n an)
     for i in range(n):
-        A[n - 1 + i, i:i + n] = da
-        rhs[n - 1 + i] = 0.0 if i == 0 else 2.0 * i * moments.zeta[i - 1]
+        A[..., n - 1 + i, i:i + n] = da
+        rhs[..., n - 1 + i] = 0.0 if i == 0 else 2.0 * i * zeta[..., i - 1]
     return PicardFuchsSystem(matrix=A, rhs=rhs, poly=poly, moments=moments)
+
+
+def _norm(x):
+    """Euclidean norms of the rows of x through BLAS (stacked matmul), which
+    gives each row the value np.linalg.norm gives it alone."""
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
 
 
 def solve_moments(system: PicardFuchsSystem, extend_to: int = None,
@@ -82,34 +95,55 @@ def solve_moments(system: PicardFuchsSystem, extend_to: int = None,
         sum_j j a_j I_{j+m-1} = 2 m zeta_{m-1},   m = n, n+1, ...
 
     Raises SingularSystem on a repeated root of P, IllConditioned above
-    cond_max, and on residual failure."""
-    A, rhs = system.matrix, system.rhs
-    cond = float(np.linalg.cond(A))
-    system.cond = cond
-    if not np.isfinite(cond):
-        raise SingularSystem("Picard-Fuchs matrix is singular (repeated root)")
-    if cond > cond_max:
-        raise IllConditioned(f"condition number {cond:.3e} exceeds {cond_max:.1e}")
+    cond_max, and on residual failure.  A stack of systems is solved at
+    once: rows failing here or earlier get nan moments and an entry in
+    ``system.failures`` instead of raising."""
+    batch = system.matrix.ndim == 3
+    A = system.matrix if batch else system.matrix[None]
+    rhs = system.rhs if batch else system.rhs[None]
+    B, N = rhs.shape
+    failures = dict(system.moments.failures) if batch else {}
+    ok = np.ones(B, dtype=bool)
+    ok[list(failures)] = False
+    cond = np.full(B, np.nan)
+    cond[ok] = np.linalg.cond(A[ok])
+    flag_rows(failures, ok & ~np.isfinite(cond),
+              lambda i: SingularSystem("Picard-Fuchs matrix is singular (repeated root)"))
+    flag_rows(failures, ok & (cond > cond_max), lambda i: IllConditioned(
+        f"condition number {cond[i]:.3e} exceeds {cond_max:.1e}"))
+    ok[list(failures)] = False
+    rows = np.flatnonzero(ok)
+    I = np.full((B, N), np.nan)
     try:
-        lu, piv = lu_factor(A)
-    except np.linalg.LinAlgError as exc:    # pragma: no cover
-        raise SingularSystem(str(exc)) from exc
-    I = lu_solve((lu, piv), rhs)
-    resid = np.linalg.norm(A @ I - rhs)
-    if resid > 1e-10 * max(np.linalg.norm(rhs), 1.0):
-        raise IllConditioned(f"residual {resid:.3e} too large")
+        I[rows] = np.linalg.solve(A[rows], rhs[rows][..., None])[..., 0]
+    except np.linalg.LinAlgError:             # pragma: no cover - cond check above
+        for i in rows:
+            try:
+                I[i] = np.linalg.solve(A[i], rhs[i])
+            except np.linalg.LinAlgError as exc:
+                failures[int(i)] = SingularSystem(str(exc))
+    resid = _norm(np.matmul(A[rows], I[rows, :, None])[..., 0] - rhs[rows])
+    flag_rows(failures, resid > 1e-10 * np.maximum(_norm(rhs[rows]), 1.0),
+              lambda k: IllConditioned(f"residual {resid[k]:.3e} too large"), rows)
+    I[list(failures)] = np.nan
     n = system.poly.degree
     if extend_to is not None and extend_to > 2 * n - 2:
-        a = np.asarray(system.poly.coeffs, dtype=float)
-        zeta = system.moments.zeta
-        I = np.concatenate([I, np.zeros(extend_to - (2 * n - 2))])
+        a = np.asarray(system.poly.coeffs, dtype=float).reshape(B, n + 1)
+        zeta = np.asarray(system.moments.zeta).reshape(B, -1)
+        I = np.concatenate([I, np.zeros((B, extend_to - (2 * n - 2)))], axis=1)
         for m in range(n, extend_to - n + 2):
-            if m - 1 >= len(zeta):
+            if m - 1 >= zeta.shape[1]:
                 raise ValueError(f"extension to I_{extend_to} needs zeta_{m-1}")
-            acc = 2.0 * m * zeta[m - 1]
+            acc = 2.0 * m * zeta[:, m - 1]
             for j in range(1, n):
-                acc -= j * a[j] * I[j + m - 1]
-            I[n + m - 1] = acc / (n * a[n])
+                acc = acc - j * a[:, j] * I[:, j + m - 1]
+            I[:, n + m - 1] = acc / (n * a[:, n])
+    if not batch:
+        if failures:
+            raise failures[0]
+        I, cond = I[0], float(cond[0])
+    system.cond = cond
+    system.failures = failures
     system.solution = I
     system.moments.I = I
     return I
@@ -126,6 +160,9 @@ class ParamJacobian:
     {T,M,P}_{a,E,c} > 0 for KdV waves and Delta_MI takes its standard
     form verbatim; the raw matrix J is untouched, so finite-difference
     oracles compare against J entrywise.
+
+    For a batch every field is an array over waves (J is (B, 3, 3)), nan
+    on the rows listed in ``failures``.
     """
 
     J: np.ndarray
@@ -138,44 +175,60 @@ class ParamJacobian:
     TP_Ec: float
     MP_aE: float
     cond: float
+    failures: dict = field(default_factory=dict)
 
     @classmethod
     def from_matrix(cls, J: np.ndarray, T: float, M: float, P: float,
-                    cond: float = np.nan) -> "ParamJacobian":
-        return cls(
-            J=J, T=T, M=M, P=P,
-            T_E=J[0, 1],
-            TM_aE=float(np.linalg.det(J[np.ix_([0, 1], [0, 1])])),
-            TMP_aEc=-float(np.linalg.det(J)),
-            TP_Ec=-float(np.linalg.det(J[np.ix_([0, 2], [1, 2])])),
-            MP_aE=float(np.linalg.det(J[np.ix_([1, 2], [0, 1])])),
-            cond=cond,
-        )
+                    cond: float = np.nan, failures: dict = None) -> "ParamJacobian":
+        if J.ndim == 2:
+            return cls.from_matrix(J[None], np.atleast_1d(T), np.atleast_1d(M),
+                                   np.atleast_1d(P), np.atleast_1d(cond)).row(0)
+        failures = failures or {}
+        ok = np.ones(len(J), dtype=bool)
+        ok[list(failures)] = False
+        # {T,M}_{a,E}, {T,P}_{E,c}, {M,P}_{a,E} as one stack of 2x2 minors
+        minors = np.full((len(J), 3), np.nan)
+        minors[ok] = np.linalg.det(J[ok][:, _MINOR_ROWS, _MINOR_COLS])
+        TMP = np.full(len(J), np.nan)
+        TMP[ok] = np.linalg.det(J[ok])
+        return cls(J=J, T=T, M=M, P=P, T_E=J[:, 0, 1], TM_aE=minors[:, 0],
+                   TMP_aEc=-TMP, TP_Ec=-minors[:, 1], MP_aE=minors[:, 2],
+                   cond=cond, failures=failures)
+
+    def row(self, i: int) -> "ParamJacobian":
+        """Row i of a batch as a single Jacobian (raises its failure)."""
+        if i in self.failures:
+            raise self.failures[i]
+        return ParamJacobian(J=self.J[i], **{
+            name: float(getattr(self, name)[i])
+            for name in ("T", "M", "P", "T_E", "TM_aE", "TMP_aEc", "TP_Ec", "MP_aE", "cond")})
 
 
 def param_jacobian(spec: EquationSpec, params: WaveParams, branch: int = 0,
                    tol_quad: float = None) -> ParamJacobian:
-    """Full pipeline: moments -> Picard-Fuchs solve -> gradient map -> brackets."""
+    """Full pipeline: moments -> Picard-Fuchs solve -> gradient map ->
+    brackets.  A batch of parameters gives a batch ParamJacobian."""
     kw = {} if tol_quad is None else {"tol_quad": tol_quad}
-    poly_probe = None
+    batch = params.as_batch()
     # moment demand: rhs needs zeta_0..zeta_{n-2}; the extension rows (if any)
-    # need zeta up to m-1; (T,M,P) sit at tmp_indices.
-    from .equations import potential_polynomial
-    poly_probe = potential_polynomial(spec, params)
-    n = poly_probe.degree
-    i0, i1, i2 = poly_probe.tmp_indices
-    da, dE_, dc = poly_probe.grad_offsets
+    # need zeta up to m-1; (T,M,P) sit at tmp_indices.  Degree and indices
+    # depend on the equation only.
+    poly = potential_polynomial(spec, WaveParams(0.0, 0.0, 0.0))
+    n = poly.degree
+    i0, i1, i2 = poly.tmp_indices
+    da, dE_, dc = poly.grad_offsets
     need_I = i2 + dc
     k_need = max(n - 2, i2)
     if need_I > 2 * n - 2:
         k_need = max(k_need, need_I - n)       # zeta_{m-1} for extension rows
-    moments = zeta_moments(spec, params, k_need, branch, **kw)
+    moments = zeta_moments(spec, batch, k_need, branch, **kw)
     system = build_system(moments.poly, moments)
     I = solve_moments(system, extend_to=need_I if need_I > 2 * n - 2 else None)
-    J = np.zeros((3, 3))
+    J = np.zeros((len(I), 3, 3))
     for row, k in enumerate((i0, i1, i2)):
-        J[row, 0] = -I[k + da] / 2.0
-        J[row, 1] = -I[k] / 2.0
-        J[row, 2] = +I[k + dc] / 4.0
+        J[:, row, 0] = -I[:, k + da] / 2.0
+        J[:, row, 1] = -I[:, k] / 2.0
+        J[:, row, 2] = +I[:, k + dc] / 4.0
     T, M, P = moments.tmp
-    return ParamJacobian.from_matrix(J, T, M, P, cond=system.cond)
+    out = ParamJacobian.from_matrix(J, T, M, P, cond=system.cond, failures=system.failures)
+    return out if params.is_batch else out.row(0)

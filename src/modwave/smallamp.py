@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eig as generalized_eig
 
 from .errors import DomainError, ParityViolation, ResonanceError, SymbolDomain
 
@@ -273,8 +272,10 @@ def _pencil(k: float, A: float, xi: float, sym: DispersionSymbol):
 def _dj_coefficients(k: float, A: float, xi: float, sym: DispersionSymbol):
     """Roots X_j of the scaled characteristic cubic (lambda = -i xi X) and
     the real coefficients d_j (c_j = d_j xi^{3-j})."""
+    from scipy.linalg import eig      # imported here: scipy stays out of `import modwave`
+
     M, P = _pencil(k, A, xi, sym)
-    lam = generalized_eig(M, P, right=False)
+    lam = eig(M, P, right=False)
     X = 1j * lam / xi
     d3 = float(np.linalg.det(P))
     e1 = np.sum(X)

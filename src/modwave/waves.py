@@ -10,73 +10,165 @@ with P(w) = (w - w-)(w+ - w) G(w),
     dw / sqrt(P) = 2 dtheta / sqrt(G(w(theta))).
 
 G comes from synthetic deflation of P, so the integrand is analytic on
-[0, pi/2] whenever the endpoints are simple roots.
+[0, pi/2] whenever the endpoints are simple roots.  It is also even and
+pi-periodic in theta, so the trapezoid rule on [0, pi/2] (half weights at
+the ends) is the periodic trapezoid rule and converges geometrically
+(Trefethen & Weideman, SIAM Rev. 56, 2014).  Every moment of a wave is
+summed on one node set: 32 intervals first, doubled (reusing the old
+nodes) while the embedded error estimate |Q_N - Q_{N/2}|, the change
+against the half grid, exceeds tol_quad * max(1, |Q_N|) for any moment.
+A wave still above tolerance at 2^16 intervals raises QuadratureFailure.
+Batches of waves (WaveParams holding arrays) are summed together; each
+row doubles on its own, so its result does not depend on the other rows.
 """
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.chebyshev import Chebyshev
-from scipy.integrate import IntegrationWarning, quad
 
 from .elliptic import elliptic_K, jacobi_cn, jacobi_dn
 from .equations import (Classification, EquationSpec, PotentialPolynomial,
-                        WaveParams, classify_parameters, potential_polynomial)
+                        WaveParams, classify_parameters, polyval,
+                        potential_polynomial)
 from .errors import (DegenerateRoots, DomainError, NoBoundedOrbit,
-                     QuadratureFailure)
+                     QuadratureFailure, flag_rows)
 
 TOL_QUAD = 1e-11
 SQRT2 = np.sqrt(2.0)
+QUAD_NODES = 32                # first trapezoid level: intervals on [0, pi/2]
+QUAD_MAX_NODES = 2 ** 16
+QUAD_BUDGET = 2 ** 18          # integrand values held at once (bounds memory)
+# sin^2 at the first level's nodes, and the fractions of the interval
+# where G must be positive
+_S2_FIRST = np.sin(np.linspace(0.0, np.pi / 2, QUAD_NODES + 1)) ** 2
+_PROBE = np.linspace(0.0, 1.0, 17)
+
+
+# the error a wave of each non-periodic classification status raises
+_NOT_PERIODIC = {
+    "on-gamma": lambda: DegenerateRoots("parameters lie on the discriminant variety"),
+    "no-bounded-orbit": lambda: NoBoundedOrbit("no positivity interval of E - V"),
+}
 
 
 def _require_periodic(spec, params, branch):
     cls = classify_parameters(spec, params, branch)
-    if cls.status == "on-gamma":
-        raise DegenerateRoots("parameters lie on the discriminant variety")
-    if cls.status == "no-bounded-orbit":
-        raise NoBoundedOrbit("no positivity interval of E - V")
+    if cls.status in _NOT_PERIODIC:
+        raise _NOT_PERIODIC[cls.status]()
     return cls
 
 
-def _reduced_poly(poly: PotentialPolynomial, lo: float, hi: float) -> np.ndarray:
-    """G with P(w) = (w - lo)(hi - w) G(w), by synthetic division."""
-    q1, _ = npoly.polydiv(np.asarray(poly.coeffs, float), np.array([-lo, 1.0]))
-    G, _ = npoly.polydiv(q1, np.array([-hi, 1.0]))
-    return -G
+def _reduced_poly(coeffs, lo, hi) -> np.ndarray:
+    """G with P(w) = (w - lo)(hi - w) G(w), by synthetic division (the
+    steps of numpy.polynomial.polydiv).  Coefficients run along the last
+    axis; lo and hi broadcast against the leading ones."""
+    c = np.array(coeffs, dtype=float)
+    for root in (lo, hi):
+        root = np.asarray(root, dtype=float)
+        for i in range(c.shape[-1] - 2, -1, -1):
+            c[..., i] -= -root * c[..., i + 1]
+        c = c[..., 1:]
+    return -c
 
 
-def _theta_integral(func, tol: float) -> float:
-    # near the roundoff floor quad warns while still meeting the target;
-    # silence it and judge by the returned error estimate instead
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(func, 0.0, np.pi / 2, epsabs=tol, epsrel=tol, limit=400)
-    if not np.isfinite(val):
-        raise QuadratureFailure("non-finite quadrature value")
-    if err > 1e3 * tol * max(1.0, abs(val)):
-        raise QuadratureFailure(f"error estimate {err:.2e} above tolerance")
-    return val
+def _quadrature(coeffs, lo, hi, weights, n_weights: int, tol: float):
+    """sqrt(2) * int weight_k(w)/sqrt(P) dw over [lo, hi] for B waves.
+
+    coeffs (B, n + 1) are the rows of P and lo, hi (B,) their intervals;
+    weights(rows, w) gives the n_weights weights at the points w (b, m) of
+    the given rows as a (b, n_weights, m) array.  Returns the (B, n_weights)
+    values (nan where a row failed), the trapezoid intervals on [0, pi/2]
+    each row used, and {row: QuadratureFailure}."""
+    B = len(lo)
+    G = _reduced_poly(coeffs, lo, hi)
+    span = hi - lo
+    values = np.full((B, n_weights), np.nan)
+    nodes = np.zeros(B, dtype=int)
+    positive = (polyval(G, lo[:, None] + span[:, None] * _PROBE) > 0.0).all(axis=-1)
+    failures = {}
+    flag_rows(failures, ~positive,
+              lambda i: QuadratureFailure("reduced polynomial not positive on the interval"))
+
+    def node_sum(rows, s2, first=False):
+        """Integrand summed over the nodes with sin^2(theta) = s2, row block
+        by row block to bound memory.  On the first level (end nodes at half
+        weight) the sums over the even nodes, which form the half grid, and
+        over the odd nodes."""
+        out = np.empty((2 if first else 1, len(rows), n_weights))
+        step = max(1, QUAD_BUDGET // (n_weights * len(s2)))
+        for k in range(0, len(rows), step):
+            r = rows[k:k + step]
+            w = lo[r, None] + span[r, None] * s2
+            g = weights(r, w) * (2.0 / np.sqrt(polyval(G[r], w)))[:, None, :]
+            if first:
+                g[..., [0, -1]] *= 0.5
+                out[1, k:k + step] = g[..., 1::2].sum(axis=-1)
+                g = g[..., ::2]
+            out[0, k:k + step] = g.sum(axis=-1)
+        return out
+
+    rows = np.flatnonzero(positive)
+    M = QUAD_NODES
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        S_half, S_odd = node_sum(rows, _S2_FIRST, first=True)
+        Q_half, S = (np.pi / M) * S_half, S_half + S_odd
+        while len(rows):
+            Q = (np.pi / 2 / M) * S
+            diff = np.abs(Q - Q_half)
+            finite = np.isfinite(Q).all(axis=-1)
+            done = finite & (diff <= tol * np.maximum(1.0, np.abs(Q))).all(axis=-1)
+            values[rows[done]] = SQRT2 * Q[done]
+            nodes[rows[done]] = M
+            flag_rows(failures, ~finite,
+                      lambda k: QuadratureFailure("non-finite quadrature value"), rows)
+            keep = finite & ~done
+            if M >= QUAD_MAX_NODES:
+                flag_rows(failures, keep, lambda k: QuadratureFailure(
+                    f"error estimate {diff[k].max():.2e} above tolerance"), rows)
+                break
+            rows, S, Q_half = rows[keep], S[keep], Q[keep]
+            if len(rows):
+                S = S + node_sum(rows, np.sin((np.arange(M) + 0.5) * (np.pi / 2 / M)) ** 2)[0]
+            M *= 2
+    return values, nodes, failures
 
 
 def _moment_integrals(poly: PotentialPolynomial, lo: float, hi: float,
                       weights, tol: float):
-    """sqrt(2) * int weight(w)/sqrt(P) dw over [lo, hi] for several weights."""
-    G = _reduced_poly(poly, lo, hi)
-    if np.any(npoly.polyval(np.linspace(lo, hi, 17), G) <= 0.0):
-        raise QuadratureFailure("reduced polynomial not positive on the interval")
+    """sqrt(2) * int weight(w)/sqrt(P) dw over [lo, hi] for several weights
+    (callables of w) of one wave; raises QuadratureFailure."""
+    vals, _, failures = _quadrature(
+        np.asarray(poly.coeffs, dtype=float)[None], np.array([lo], float),
+        np.array([hi], float),
+        lambda rows, w: np.stack([fw(w) for fw in weights], axis=1), len(weights), tol)
+    if failures:
+        raise failures[0]
+    return vals[0].tolist()
 
-    def make(fw):
-        def f(theta):
-            w = lo + (hi - lo) * np.sin(theta) ** 2
-            g = npoly.polyval(w, G)
-            return fw(w) * 2.0 / np.sqrt(g)
-        return f
 
-    return [SQRT2 * _theta_integral(make(fw), tol) for fw in weights]
+def _periodic_moments(spec, params, branch, weights, n_weights, tol):
+    """Classification, potential polynomial and the quadrature of the
+    weights over each periodic wave of a batch, with every non-periodic
+    or failed row in ``failures``."""
+    cls = classify_parameters(spec, params, branch)
+    poly = potential_polynomial(spec, params)
+    failures = dict(cls.failures)
+    for status, error in _NOT_PERIODIC.items():
+        flag_rows(failures, cls.status == status, lambda i: error())
+    rows = np.flatnonzero(~np.isnan(cls.w_minus))     # periodic, branch in range
+    vals, nodes, quad_failures = _quadrature(
+        poly.coeffs[rows], cls.w_minus[rows], cls.w_plus[rows],
+        lambda r, w: weights(rows[r], w), n_weights, tol)
+    values = np.full((len(cls.status), n_weights), np.nan)
+    values[rows] = vals
+    all_nodes = np.zeros(len(cls.status), dtype=int)
+    all_nodes[rows] = nodes
+    failures.update({int(rows[k]): exc for k, exc in quad_failures.items()})
+    return cls, poly, values, all_nodes, failures
 
 
 def zeta_moments(spec: EquationSpec, params: WaveParams, k_max: int,
@@ -88,33 +180,56 @@ def zeta_moments(spec: EquationSpec, params: WaveParams, k_max: int,
     mu = 2v for the Schamel substitution u = v^2.  With this normalization
     the physical quantities are  (T, M, P) = (zeta_i0, zeta_i1, zeta_i2)
     at the indices carried by the potential polynomial ((0,1,2) or (1,3,5)).
+    A batch of parameters gives a batch MomentTable.
     """
-    cls = _require_periodic(spec, params, branch)
-    poly = potential_polynomial(spec, params)
+    batch = params.as_batch()
     # Schamel measure is 2 v^k dv (the u = v^2 Jacobian lives in the odd
     # moment indices (T,M,P) = (zeta_1, zeta_3, zeta_5), not in the weight)
-    wfac = 2.0 if poly.var == "v" else 1.0
-    weights = [(lambda k: (lambda w: wfac * w ** k))(k) for k in range(k_max + 1)]
-    vals = _moment_integrals(poly, cls.w_minus, cls.w_plus, weights, tol_quad)
-    return MomentTable(zeta=np.array(vals), poly=poly, classification=cls,
-                       convention="sqrt2-denominator, physical zeta")
+    wfac = 2.0 if spec.kind == "local-power" else 1.0
+
+    def powers(rows, w):
+        out = np.empty((w.shape[0], k_max + 1, w.shape[1]))
+        out[:, 0] = wfac
+        for k in range(1, k_max + 1):
+            out[:, k] = out[:, k - 1] * w
+        return out
+
+    cls, poly, zeta, nodes, failures = _periodic_moments(spec, batch, branch, powers,
+                                                         k_max + 1, tol_quad)
+    table = MomentTable(zeta=zeta, poly=poly, classification=cls,
+                        convention="sqrt2-denominator, physical zeta",
+                        nodes=nodes, failures=failures)
+    return table if params.is_batch else table.row(0)
 
 
 @dataclass
 class MomentTable:
     """zeta moments (filled here) and singular moments I (filled by the
-    Picard-Fuchs solver).  ``convention`` records the normalization."""
+    Picard-Fuchs solver).  ``convention`` records the normalization and
+    ``nodes`` the trapezoid intervals on [0, pi/2] the quadrature used.
+    In a batch table zeta is (B, k_max + 1), poly and classification are
+    batches, and ``failures`` maps each failed row to its error."""
 
     zeta: np.ndarray
     poly: PotentialPolynomial
     classification: Classification
     convention: str
     I: Optional[np.ndarray] = None
+    nodes: Optional[np.ndarray] = None      # an int for one wave
+    failures: dict = field(default_factory=dict)
 
     @property
     def tmp(self):
         i0, i1, i2 = self.poly.tmp_indices
-        return self.zeta[i0], self.zeta[i1], self.zeta[i2]
+        return self.zeta[..., i0], self.zeta[..., i1], self.zeta[..., i2]
+
+    def row(self, i: int) -> "MomentTable":
+        """Row i of a batch as a single table (raises its failure)."""
+        if i in self.failures:
+            raise self.failures[i]
+        return MomentTable(zeta=self.zeta[i], poly=self.poly.row(i),
+                           classification=self.classification.row(i),
+                           convention=self.convention, nodes=int(self.nodes[i]))
 
 
 def quadrature_TMPH(spec: EquationSpec, params: WaveParams, branch: int = 0,
@@ -123,7 +238,10 @@ def quadrature_TMPH(spec: EquationSpec, params: WaveParams, branch: int = 0,
 
     T = sqrt(2) oint dw/sqrt(E-V) (loop = twice the one-way integral),
     M = int u dx, P = int u^2 dx, H = int (u_x^2/2 - F(u)) dx over a period.
+    One wave only.
     """
+    if params.is_batch:
+        raise DomainError("quadrature_TMPH takes the parameters of one wave")
     cls = _require_periodic(spec, params, branch)
     poly = potential_polynomial(spec, params)
     if poly.var == "u":
@@ -176,7 +294,7 @@ def _chebyshev_z_of_theta(poly: PotentialPolynomial, lo: float, hi: float,
                           degree: int = 256, tail_tol: float = 1e-13):
     """Chebyshev model of h(theta) = sqrt(2)/sqrt(G) and its antiderivative
     Z with Z(0) = 0, so z = Z(theta) along the half period."""
-    G = _reduced_poly(poly, lo, hi)
+    G = _reduced_poly(poly.coeffs, lo, hi)
 
     def h(theta):
         w = lo + (hi - lo) * np.sin(theta) ** 2
