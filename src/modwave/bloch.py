@@ -10,8 +10,15 @@ equation's u_t = M u_x + f(u)_x form.  For a T-periodic wave the Bloch
 operator L_xi = e^{-i xi z} L e^{i xi z} acts on Fourier modes
 e^{2 pi i n z / T} through the combined frequencies theta_n = 2 pi n/T + xi;
 multiplication by f'(u0) becomes a Toeplitz block of its Fourier
-coefficients.  Dense QR eigensolves throughout: matrices are a few hundred
-square at most.
+coefficients.
+
+Every assembler (local, nonlocal, Whitham, Benjamin-Ono) is the one builder
+_bloch_operator with its own coefficient samples, period and inner symbol.
+The coefficient does not depend on xi, so it is sampled, checked for
+resolution, FFT'd and turned into its Toeplitz block once per wave; each xi
+then only adds the symbol diagonal and scales the rows by i theta_n.  The
+spectrum comes from a dense QR eigensolve per xi: matrices are a few
+hundred square at most.
 """
 from __future__ import annotations
 
@@ -27,6 +34,7 @@ from .smallamp import DispersionSymbol, StokesWave
 from .waves import WaveProfile
 
 DEFAULT_XI_LIST = (1e-2, 5e-3, 2.5e-3)
+SAMPLES_PER_MODE = 8           # coefficient samples per Fourier mode kept
 
 
 @dataclass
@@ -60,30 +68,48 @@ def _toeplitz_coeffs(samples: np.ndarray, N: int, tail_tol: float = 1e-12) -> np
     return gh
 
 
-def _assemble(theta: np.ndarray, inner_diag: np.ndarray, gh: np.ndarray,
-              ns: np.ndarray, sign_g: float) -> np.ndarray:
-    Ms = len(gh)
-    G = gh[(ns[:, None] - ns[None, :]) % Ms]
-    return (1j * theta)[:, None] * (np.diag(inner_diag) + sign_g * G)
+def _bloch_operator(samples: np.ndarray, N: int, period: float,
+                    inner: Callable[[np.ndarray], np.ndarray],
+                    c: float) -> Callable[[float], BlochMatrix]:
+    """xi -> L_xi = e^{-i xi z} d/dz (inner + c + g) e^{i xi z} for the
+    coefficient g sampled uniformly on one period; ``inner`` is the symbol
+    of the linear part at the combined frequencies theta_n.  The tail
+    check, the FFT and the Toeplitz block of g are done here, once."""
+    gh = _toeplitz_coeffs(samples, N)
+    ns = np.arange(-N, N + 1)
+    G = gh[(ns[:, None] - ns[None, :]) % len(gh)]
+    freqs = 2.0 * np.pi * ns / period
+    diag = np.diag_indices(len(ns))
+
+    def assembler(xi: float) -> BlochMatrix:
+        theta = freqs + xi
+        L = G.copy()
+        L[diag] += inner(theta) + c
+        L *= (1j * theta)[:, None]
+        return BlochMatrix(N=N, xi=xi, period=period, matrix=L)
+
+    return assembler
 
 
-def assemble_local(profile: WaveProfile, xi: float, N: int = 64,
-                   samples_per_mode: int = 8) -> BlochMatrix:
-    """L_xi for a local polynomial/power-law wave: rows scale by i theta_m,
-    the inner operator is diag(-theta_n^2 + c) plus the Toeplitz block of
-    f'(u0) sampled on a uniform grid."""
+def _period_grid(period: float, N: int) -> np.ndarray:
+    Ms = SAMPLES_PER_MODE * (2 * N + 1)
+    return np.arange(Ms) * period / Ms
+
+
+def local_assembler(profile: WaveProfile, N: int = 64) -> Callable[[float], BlochMatrix]:
+    """xi -> L_xi for a local polynomial/power-law wave: the inner operator
+    is -theta^2 + c plus the Toeplitz block of f'(u0).  The profile is
+    sampled once, whatever the number of xi."""
     if N < 32:
         raise ValueError("N >= 32 required")
     T = profile.period
-    Ms = samples_per_mode * (2 * N + 1)
-    z = np.arange(Ms) * T / Ms
-    g = profile.spec.fprime()(profile(z))
-    gh = _toeplitz_coeffs(np.asarray(g, dtype=float), N)
-    ns = np.arange(-N, N + 1)
-    theta = 2.0 * np.pi * ns / T + xi
-    inner = -theta ** 2 + profile.params.c
-    return BlochMatrix(N=N, xi=xi, period=T,
-                       matrix=_assemble(theta, inner, gh, ns, +1.0))
+    g = profile.spec.fprime()(profile(_period_grid(T, N)))
+    return _bloch_operator(g, N, T, lambda theta: -theta ** 2, profile.params.c)
+
+
+def assemble_local(profile: WaveProfile, xi: float, N: int = 64) -> BlochMatrix:
+    """L_xi of a local wave at one xi (see local_assembler)."""
+    return local_assembler(profile, N)(xi)
 
 
 def assemble_nonlocal(sym: DispersionSymbol, wave_samples: np.ndarray,
@@ -94,56 +120,26 @@ def assemble_nonlocal(sym: DispersionSymbol, wave_samples: np.ndarray,
     nonlocal equation.  ``wave_samples`` are u0 on a uniform period grid;
     f'(u0) = fprime_scale * u0 (quadratic nonlinearities).  The multiplier
     is evaluated at the combined physical frequencies."""
-    Ms = len(wave_samples)
-    gh = _toeplitz_coeffs(fprime_scale * np.asarray(wave_samples, dtype=float), N)
-    ns = np.arange(-N, N + 1)
-    theta = 2.0 * np.pi * ns / period + xi
-    inner = symbol_sign * np.asarray(sym(theta), dtype=float) + c
-    return BlochMatrix(N=N, xi=xi, period=period,
-                       matrix=_assemble(theta, inner, gh, ns, +1.0))
+    inner = lambda theta: symbol_sign * np.asarray(sym(theta), dtype=float)
+    return _bloch_operator(fprime_scale * np.asarray(wave_samples, dtype=float),
+                           N, period, inner, c)(xi)
 
 
-def whitham_assembler(wave: StokesWave, sym: DispersionSymbol, N: int = 48,
-                      samples_per_mode: int = 8) -> Callable[[float], BlochMatrix]:
+def whitham_assembler(wave: StokesWave, sym: DispersionSymbol,
+                      N: int = 48) -> Callable[[float], BlochMatrix]:
     """xi -> L_xi for a small-amplitude Whitham-type wave in the
     2pi-periodic frame: L = d/dz(-M_k + c - 2w).  xi in [-1/2, 1/2)."""
-    Ms = samples_per_mode * (2 * N + 1)
-    z = np.arange(Ms) * 2.0 * np.pi / Ms
-    w = wave.profile(z)
-
-    def assembler(xi: float) -> BlochMatrix:
-        gh = _toeplitz_coeffs(2.0 * w, N)
-        ns = np.arange(-N, N + 1)
-        theta = ns + xi
-        inner = -np.asarray(sym(wave.k * theta), dtype=float) + wave.speed
-        return BlochMatrix(N=N, xi=xi, period=2.0 * np.pi,
-                           matrix=_assemble(theta, inner, gh, ns, -1.0))
-
-    return assembler
+    w = wave.profile(_period_grid(2.0 * np.pi, N))
+    inner = lambda theta: -np.asarray(sym(wave.k * theta), dtype=float)
+    return _bloch_operator(-2.0 * w, N, 2.0 * np.pi, inner, wave.speed)
 
 
-def bo_assembler(params: BOWaveParams, N: int = 128,
-                 samples_per_mode: int = 8) -> Callable[[float], BlochMatrix]:
+def bo_assembler(params: BOWaveParams, N: int = 128) -> Callable[[float], BlochMatrix]:
     """xi -> L_xi for a Benjamin-Ono wave: L = d/dz(-Lambda + c + 2u) in
     the physical frame (period 2 pi / k)."""
     T = params.period
-    Ms = samples_per_mode * (2 * N + 1)
-    z = np.arange(Ms) * T / Ms
-    u = bo_eval(params, z)
-
-    def assembler(xi: float) -> BlochMatrix:
-        gh = _toeplitz_coeffs(2.0 * u, N)
-        ns = np.arange(-N, N + 1)
-        theta = params.k * ns + xi
-        inner = -np.abs(theta) + params.c
-        return BlochMatrix(N=N, xi=xi, period=T,
-                           matrix=_assemble(theta, inner, gh, ns, +1.0))
-
-    return assembler
-
-
-def local_assembler(profile: WaveProfile, N: int = 64) -> Callable[[float], BlochMatrix]:
-    return lambda xi: assemble_local(profile, xi, N)
+    u = bo_eval(params, _period_grid(T, N))
+    return _bloch_operator(2.0 * u, N, T, lambda theta: -np.abs(theta), params.c)
 
 
 def _three_nearest_zero(ev: np.ndarray) -> np.ndarray:

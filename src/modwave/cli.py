@@ -139,6 +139,9 @@ def cmd_classify(args) -> int:
     E = args.E if args.E is not None else _require_number(p, "E")
     c = args.c if args.c is not None else _require_number(p, "c")
     branch = args.branch if args.branch is not None else int(p.get("branch", 0))
+    for field, val in (("a", a), ("E", E), ("c", c)):
+        if not np.isfinite(val):
+            raise ConfigError(f"non-finite parameter {field} = {val!r}", field=field)
     spec = equation_from_name(name)
     t0 = time.perf_counter()
     report = classify(spec, WaveParams(a, E, c), branch=branch, tol_quad=args.tol_quad)

@@ -342,16 +342,22 @@ def classify_parameters(spec: EquationSpec, params: WaveParams,
     Periodic intervals are adjacent pairs of simple real roots with P > 0
     between them, ordered by left endpoint; ``branch`` selects among
     coexisting families (focusing mKdV has two).  Repeated roots classify
-    as on-gamma, no positivity interval as no-bounded-orbit.  A batch of
-    parameters gives a batch Classification.
+    as on-gamma, no positivity interval as no-bounded-orbit.  Non-finite
+    parameters are a DomainError (in a batch, a row of ``failures``).  A
+    batch of parameters gives a batch Classification.
     """
     if not spec.is_local:
         raise NonlocalUnsupported("classification requires a local equation")
     batch = params.as_batch()
     poly = potential_polynomial(spec, batch)
-    real, _, _, repeated = _root_structure(poly.coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the companion matrices hold the coefficients over the leading one
+        finite = np.isfinite(poly.coeffs / poly.coeffs[:, -1:]).all(axis=1)
+    # a non-finite row is solved as 1 + w + ... + w^n (simple roots) and has no orbit
+    coeffs = np.where(finite[:, None], poly.coeffs, 1.0)
+    real, _, _, repeated = _root_structure(coeffs)
     lo, hi = real[:, :-1], real[:, 1:]           # adjacent roots; nan past the real ones
-    valid = (polyval(poly.coeffs, 0.5 * (lo + hi)) > 0.0) & ~repeated[:, None]
+    valid = (polyval(coeffs, 0.5 * (lo + hi)) > 0.0) & ~repeated[:, None] & finite[:, None]
     if poly.var == "v":
         valid &= lo > 0.0          # Schamel profiles must stay positive
     count = valid.sum(axis=1)
@@ -359,6 +365,8 @@ def classify_parameters(spec: EquationSpec, params: WaveParams,
     chosen = (count > 0) & ~repeated
     in_range = (0 <= branch) & (branch < count)
     failures = {}
+    flag_rows(failures, ~finite, lambda i: DomainError(
+        "non-finite wave parameters or potential coefficients"))
     flag_rows(failures, chosen & ~in_range,
               lambda i: DomainError(f"branch {branch} out of range; {count[i]} interval(s)"))
     chosen &= in_range

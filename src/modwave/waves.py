@@ -292,13 +292,17 @@ class WaveProfile:
 
 def _chebyshev_z_of_theta(poly: PotentialPolynomial, lo: float, hi: float,
                           degree: int = 256, tail_tol: float = 1e-13):
-    """Chebyshev model of h(theta) = sqrt(2)/sqrt(G) and its antiderivative
-    Z with Z(0) = 0, so z = Z(theta) along the half period."""
+    """Chebyshev model of h(theta) = sqrt(2) mu(w)/sqrt(G) and its
+    antiderivative Z with Z(0) = 0, so z = Z(theta) along the half period.
+    mu is the moment measure of zeta_moments: 1 in u, 2v for the Schamel
+    substitution u = v^2 (dz = 2v dv / sqrt(2 P_v))."""
     G = _reduced_poly(poly.coeffs, lo, hi)
+    square = poly.var == "v"
 
     def h(theta):
         w = lo + (hi - lo) * np.sin(theta) ** 2
-        return SQRT2 / np.sqrt(npoly.polyval(w, G))
+        r = SQRT2 / np.sqrt(npoly.polyval(w, G))
+        return 2.0 * w * r if square else r
 
     deg = degree
     while True:

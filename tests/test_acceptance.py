@@ -6,7 +6,7 @@ import numpy as np
 
 from conftest import (fd_jacobian, sample_kdv, sample_mkdv_defocusing,
                       sample_mkdv_focusing_cnoidal, sample_mkdv_focusing_dnoidal,
-                      sample_schamel)
+                      sample_schamel, schamel_params_from_interval)
 from modwave import (BOWaveParams, WaveParams, bo_conserved,
                      bo_dispersion_matrix, bo_modulation_speeds, classify,
                      delta_constant_state, delta_discriminant, delta_ilw,
@@ -158,6 +158,7 @@ def test_criterion_09_theory_spectrum_agreement():
             ("kdv cnoidal", kdv, pk, 0),
             ("mkdv focusing cnoidal", foc, WaveParams(0.0, 0.5, -1.0), 0),
             ("mkdv dnoidal", foc, WaveParams(0.0, -0.5, -1.0), 1),
+            ("schamel", schamel_spec(), schamel_params_from_interval(0.6, 1.2, -1.0), 0),
         ]
         for name, spec, p, br in cases:
             prof = resolve_profile(spec, p, branch=br)

@@ -74,11 +74,15 @@ def test_bad_row_leaves_neighbours_bit_identical():
     good = [_abc(p) for p in sample_kdv(np.random.default_rng(5), 5)]
     near = _abc(kdv_params_from_roots(3.0, 1e-3, 0.0))         # needs node doubling
     bad = [(0.0, 0.0, -1.0),                                   # on the variety
+           (np.nan, 0.0, -1.0),                                # non-finite parameter
            (0.0, -5.0, 2.0),                                   # no bounded orbit
-           _abc(kdv_params_from_roots(3.0, 1e-6, 0.0))]        # ill-conditioned system
-    points = good[:2] + bad[:1] + [near] + bad[1:] + good[2:]
+           _abc(kdv_params_from_roots(3.0, 1e-6, 0.0)),        # ill-conditioned system
+           (0.0, 0.0, np.inf)]
+    points = good[:2] + bad[:2] + [near] + bad[2:] + good[2:]
     batch = classify(spec, _batch(points))
-    assert [rep.classification for rep in batch].count("hypothesis-failed") == 3
+    assert [rep.classification for rep in batch].count("hypothesis-failed") == 5
+    assert batch[3].diagnostics["reason"] == \
+        "DomainError: non-finite wave parameters or potential coefficients"
     for p, rep in zip(points, batch):
         alone = classify(spec, WaveParams(*p))
         assert rep.classification == alone.classification

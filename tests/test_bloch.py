@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from modwave import (BOWaveParams, WaveParams, bo_modulation_speeds,
-                     kdv_spec, mkdv_spec, modulation_slope_prediction,
-                     param_jacobian, resolve_profile, stokes_expand,
-                     whitham_symbol)
-from modwave.bloch import (assemble_local, bo_assembler, instability_bubble_scan,
-                           local_assembler, match_slope_sets, modulation_slopes,
-                           whitham_assembler)
+from modwave import (BOWaveParams, WaveParams, bo_eval, bo_modulation_speeds,
+                     bo_symbol, kdv_params_from_roots, kdv_spec, mkdv_spec,
+                     modulation_slope_prediction, param_jacobian, resolve_profile,
+                     stokes_expand, whitham_symbol)
+from modwave.bloch import (assemble_local, assemble_nonlocal, bo_assembler,
+                           instability_bubble_scan, local_assembler,
+                           match_slope_sets, modulation_slopes, whitham_assembler)
 from modwave.errors import ResolutionError
 from modwave.smallamp import omega
 from modwave.waves import WaveProfile
@@ -158,17 +158,85 @@ def test_resolution_error_for_tiny_truncation():
                        u_minus=0.0, u_plus=1.0, period=T, evaluator=ev)
     with pytest.raises(ResolutionError):
         assemble_local(prof, 0.0, 32)
+    # the check runs when the operator is built, before any xi
+    with pytest.raises(ResolutionError):
+        local_assembler(prof, 32)
+    with pytest.raises(ResolutionError):                 # long BO wave, k = 0.3
+        bo_assembler(BOWaveParams(0.0, 0.3, -2.0), N=32)
+
+
+def test_local_assembler_samples_profile_once(kdv, kdv_wave310):
+    prof = resolve_profile(kdv, kdv_wave310)
+    calls = []
+    evaluate = prof.evaluator
+    prof.evaluator = lambda z: calls.append(np.size(z)) or evaluate(z)
+    asm = local_assembler(prof, N=48)
+    modulation_slopes(asm)
+    instability_bubble_scan(asm, [0.01, 0.02, 0.03])
+    assert calls == [8 * (2 * 48 + 1)]
+
+
+def _grid(period, N):
+    Ms = 8 * (2 * N + 1)
+    return np.arange(Ms) * period / Ms
+
+
+def _per_xi_matrix(samples, N, period, inner, c, xi, sign=1.0):
+    """L_xi built from scratch at one xi: FFT of the coefficient samples,
+    Toeplitz block, symbol diagonal and row scaling by i theta_n."""
+    Ms = len(samples)
+    gh = np.fft.fft(samples) / Ms
+    ns = np.arange(-N, N + 1)
+    G = gh[(ns[:, None] - ns[None, :]) % Ms]
+    theta = 2.0 * np.pi * ns / period + xi
+    return (1j * theta)[:, None] * (np.diag(inner(theta) + c) + sign * G)
+
+
+def _local_case():
+    spec, p, N = kdv_spec(), kdv_params_from_roots(3.0, 1.0, 0.0), 40
+    prof = resolve_profile(spec, p)
+    g = spec.fprime()(prof(_grid(prof.period, N)))
+    return (lambda xi: assemble_local(prof, xi, N),
+            (g, N, prof.period, lambda th: -th ** 2, p.c))
+
+
+def _whitham_case():
+    sym, N = whitham_symbol(), 16
+    wave = stokes_expand(1.0, 0.1, 0.0, sym)
+    w = wave.profile(_grid(2 * np.pi, N))
+    inner = lambda th: -np.asarray(sym(wave.k * th), float)
+    return whitham_assembler(wave, sym, N=N), (2.0 * w, N, 2 * np.pi, inner, wave.speed, -1.0)
+
+
+def _bo_case():
+    params, N = BOWaveParams(0.0, 1.3, -2.0), 32
+    u = bo_eval(params, _grid(params.period, N))
+    return bo_assembler(params, N=N), (2.0 * u, N, params.period, lambda th: -np.abs(th), params.c)
+
+
+def _nonlocal_case():
+    params, N = BOWaveParams(0.0, 1.3, -2.0), 32
+    u = bo_eval(params, _grid(params.period, N))
+    asm = lambda xi: assemble_nonlocal(bo_symbol(), u, params.c, xi, N, params.period,
+                                       fprime_scale=3.0, symbol_sign=-1.0)
+    inner = lambda th: -np.asarray(bo_symbol()(th), float)
+    return asm, (3.0 * u, N, params.period, inner, params.c)
+
+
+@pytest.mark.parametrize("case", [_local_case, _whitham_case, _bo_case, _nonlocal_case],
+                         ids=["local", "whitham", "bo", "nonlocal"])
+def test_assemblers_match_per_xi_construction(case):
+    asm, (samples, N, period, inner, c, *sign) = case()
+    for xi in (0.013, -0.21):
+        ref = _per_xi_matrix(samples, N, period, inner, c, xi, *sign)
+        got = asm(xi).matrix
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_assemble_nonlocal_raw_interface_matches_bo():
-    from modwave import bo_symbol
-    from modwave.bloch import assemble_nonlocal
     params = BOWaveParams(0.0, 1.0, -2.0)
     N, xi = 32, 0.01
-    Ms = 8 * (2 * N + 1)
-    z = np.arange(Ms) * params.period / Ms
-    from modwave import bo_eval
-    u = bo_eval(params, z)
+    u = bo_eval(params, _grid(params.period, N))
     raw = assemble_nonlocal(bo_symbol(), u, params.c, xi, N, params.period,
                             fprime_scale=2.0, symbol_sign=-1.0)
     ref = bo_assembler(params, N=32)(xi)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from modwave.cli import main
 
 
@@ -32,6 +34,15 @@ def test_classify_hypothesis_failed_exit30(capsys):
     code, out, _ = run_cli(["classify", "--equation", "kdv",
                             "--a", "0", "--E", "0", "--c", "-1"], capsys)
     assert code == 30
+
+
+@pytest.mark.parametrize("command", ["classify", "bloch-check"])
+def test_non_finite_parameter_is_an_error_line(command, capsys):
+    code, out, err = run_cli([command, "--equation", "kdv",
+                              "--a", "nan", "--E", "0", "--c", "-1"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "non-finite" in err
+    assert out == ""
 
 
 def test_malformed_config_exit1(tmp_path, capsys):

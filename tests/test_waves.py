@@ -5,8 +5,8 @@ from scipy.integrate import quad, solve_ivp
 from conftest import sample_kdv, schamel_params_from_interval
 from modwave import (WaveParams, classify_parameters, cnoidal_eval,
                      cnoidal_period, dnoidal_eval, dnoidal_period,
-                     kdv_params_from_roots, mkdv_spec, quadrature_TMPH,
-                     resolve_profile, schamel_spec, zeta_moments)
+                     kdv_params_from_roots, mkdv_spec, param_jacobian,
+                     quadrature_TMPH, resolve_profile, schamel_spec, zeta_moments)
 from modwave.errors import DomainError
 
 
@@ -160,6 +160,8 @@ def test_profile_evaluator_schamel_positive():
     spec = schamel_spec()
     p = schamel_params_from_interval(0.6, 1.2, -1.0)
     prof = resolve_profile(spec, p)
+    # the inversion carries the u = v^2 measure 2v that zeta_1 = T carries
+    assert prof.period == pytest.approx(param_jacobian(spec, p).T, rel=1e-12)
     zs = np.linspace(0, prof.period, 64)
     u = prof(zs)
     assert np.all(u > 0)
