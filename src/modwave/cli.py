@@ -7,13 +7,20 @@ fingerprint so numbers stay comparable across versions.  A sweep
 classifies its grid in one process, SWEEP_CHUNK points per batched
 classify call, and emits rows in row-major grid order; a row's timing_s
 is its chunk's wall time divided by the chunk's row count.
+
+One writer, `_emit`, serves classify, sweep and smallamp.  CSV rows are
+formatted straight from the reports, one line per row with floats in
+shortest round-trip repr (schema modwave-report-1); per-row JSON records
+are built only for --format json, which is strict JSON: non-finite floats
+(the nan cubic roots of a refused row, say) are written as null.  The
+argument parser is built once per process.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import functools
 import json
+import math
 import sys
 import time
 
@@ -57,58 +64,67 @@ def equation_from_name(name: str) -> EquationSpec:
     return table[name]()
 
 
-def _report_record(name: str, params: WaveParams, branch: int, report, dt: float) -> dict:
-    mu = [complex(x) for x in np.atleast_1d(report.mu_roots)]
-    diagnostics = {k: v for k, v in report.diagnostics.items() if k != "slopes"}
-    for key in ("T", "M", "P"):           # plain floats: CSV fields print by repr
-        if key in diagnostics:
-            diagnostics[key] = float(diagnostics[key])
-    rec = {
-        "equation": name,
-        "a": params.a, "E": params.E, "c": params.c, "branch": branch,
-        "classification": report.classification,
-        "delta_mi": None if np.isnan(report.delta_mi) else float(report.delta_mi),
-        "mu_roots": [[m.real, m.imag] for m in mu],
-        "hypothesis_flags": report.hypothesis_flags,
-        "diagnostics": diagnostics,
-        "timing_s": dt,
-        "version": __version__,
-        "convention_fingerprint": fingerprint(),
-    }
-    return rec
+def _json_safe(obj):
+    """obj with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return obj
 
 
-def _csv_row(rec: dict) -> list:
-    mu = rec["mu_roots"] + [[float("nan"), 0.0]] * (3 - len(rec["mu_roots"]))
-    fmt = lambda c: f"{c[0]!r}{'+' if c[1] >= 0 else ''}{c[1]!r}j"
-    return [rec["equation"], repr(rec["a"]), repr(rec["E"]), repr(rec["c"]),
-            rec["branch"], rec["classification"],
-            "" if rec["delta_mi"] is None else repr(rec["delta_mi"]),
-            fmt(mu[0]), fmt(mu[1]), fmt(mu[2]),
-            repr(rec["diagnostics"].get("T", float("nan"))),
-            repr(rec["diagnostics"].get("M", float("nan"))),
-            repr(rec["diagnostics"].get("P", float("nan"))),
-            rec["convention_fingerprint"]]
-
-
-def _emit(records: list, fmt: str, out_path) -> str:
-    if fmt == "json":
-        body = json.dumps(records if len(records) != 1 else records[0],
-                          indent=2, sort_keys=True)
+def _emit(args, schema: str, columns, csv_lines, json_obj) -> None:
+    """The one report writer.  --format csv writes a `#schema=` comment,
+    the header and csv_lines(), one finished line per row; --format json
+    writes json_obj() as strict JSON, non-finite floats as null.  Only the
+    format asked for is built.  Output goes to --out, or stdout."""
+    if args.format == "json":
+        body = json.dumps(_json_safe(json_obj()), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
     else:
-        buf = io.StringIO()
-        buf.write(f"#schema={CSV_SCHEMA}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(_csv_row(rec))
-        body = buf.getvalue()
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(body if body.endswith("\n") else body + "\n")
+        body = "".join([f"#schema={schema}\n{','.join(columns)}\n", *csv_lines()])
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(body)
     else:
-        sys.stdout.write(body if body.endswith("\n") else body + "\n")
-    return body
+        sys.stdout.write(body)
+
+
+def _mu_field(m: complex) -> str:
+    return f"{m.real!r}{'+' if m.imag >= 0 else ''}{m.imag!r}j"
+
+
+def _emit_reports(args, name: str, branch: int, points: list, reports: list,
+                  timings: list) -> None:
+    """classify/sweep output, one row per (a, E, c) point and its report.
+    Each CSV line is one f-string over the report's fields (floats in
+    shortest round-trip repr; the fields hold no comma or quote, so no CSV
+    quoting applies); JSON records are built only for --format json."""
+    fp = fingerprint()
+
+    def csv_lines():
+        for (a, E, c), rep in zip(points, reports):
+            diag, d = rep.diagnostics, rep.delta_mi
+            mu1, mu2, mu3 = map(_mu_field, rep.mu_roots.tolist())
+            yield (f"{name},{a!r},{E!r},{c!r},{branch},{rep.classification},"
+                   f"{'' if math.isnan(d) else repr(d)},{mu1},{mu2},{mu3},"
+                   f"{diag.get('T', math.nan)!r},{diag.get('M', math.nan)!r},"
+                   f"{diag.get('P', math.nan)!r},{fp}\n")
+
+    def records():
+        recs = [{"equation": name, "a": a, "E": E, "c": c, "branch": branch,
+                 "classification": rep.classification,
+                 "delta_mi": rep.delta_mi,
+                 "mu_roots": [[m.real, m.imag] for m in rep.mu_roots.tolist()],
+                 "hypothesis_flags": rep.hypothesis_flags,
+                 "diagnostics": {k: v for k, v in rep.diagnostics.items() if k != "slopes"},
+                 "timing_s": dt, "version": __version__, "convention_fingerprint": fp}
+                for (a, E, c), rep, dt in zip(points, reports, timings)]
+        return recs if len(recs) != 1 else recs[0]
+
+    _emit(args, CSV_SCHEMA, CSV_COLUMNS, csv_lines, records)
 
 
 def _load_config(path) -> dict:
@@ -145,9 +161,8 @@ def cmd_classify(args) -> int:
     spec = equation_from_name(name)
     t0 = time.perf_counter()
     report = classify(spec, WaveParams(a, E, c), branch=branch, tol_quad=args.tol_quad)
-    rec = _report_record(name, WaveParams(a, E, c), branch, report, time.perf_counter() - t0)
-    _emit([rec], args.format, args.out)
-    return EXIT_BY_LABEL.get(rec["classification"], 1)
+    _emit_reports(args, name, branch, [(a, E, c)], [report], [time.perf_counter() - t0])
+    return EXIT_BY_LABEL.get(report.classification, 1)
 
 
 def cmd_sweep(args) -> int:
@@ -170,15 +185,15 @@ def cmd_sweep(args) -> int:
     branch = int(cfg.get("parameters", {}).get("branch", 0))
     spec = equation_from_name(name)
     grid = [g.ravel() for g in np.meshgrid(*(ax for _, ax in axes), indexing="ij")]
-    records = []
+    reports, timings = [], []
     for lo in range(0, grid[0].size, SWEEP_CHUNK):
         a, E, c = (g[lo:lo + SWEEP_CHUNK] for g in grid)
         t0 = time.perf_counter()
-        reports = classify(spec, WaveParams(a, E, c), branch=branch, tol_quad=args.tol_quad)
-        dt = (time.perf_counter() - t0) / len(reports)
-        records += [_report_record(name, WaveParams(*abc), branch, rep, dt)
-                    for abc, rep in zip(zip(a.tolist(), E.tolist(), c.tolist()), reports)]
-    _emit(records, args.format, args.out)
+        chunk = classify(spec, WaveParams(a, E, c), branch=branch, tol_quad=args.tol_quad)
+        timings += [(time.perf_counter() - t0) / len(chunk)] * len(chunk)
+        reports += chunk
+    points = list(zip(*(g.tolist() for g in grid)))
+    _emit_reports(args, name, branch, points, reports, timings)
     return 0
 
 
@@ -213,28 +228,9 @@ def cmd_smallamp(args) -> int:
         result = {"symbol": "ilw", "rows": rows,
                   "all_positive": bool(all(r["Delta_ILW"] > 0 for r in rows)),
                   "convention_fingerprint": fingerprint()}
-    if args.format == "csv":
-        buf = io.StringIO()
-        buf.write(f"#schema={CSV_SCHEMA}-smallamp\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        cols = list(rows[0].keys())
-        writer.writerow(cols)
-        for r in rows:
-            writer.writerow([repr(r[c]) if isinstance(r[c], float) else r[c]
-                             for c in cols])
-        body = buf.getvalue()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(body)
-        else:
-            sys.stdout.write(body)
-    else:
-        _emit_json = json.dumps(result, indent=2, sort_keys=True)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(_emit_json + "\n")
-        else:
-            sys.stdout.write(_emit_json + "\n")
+    _emit(args, f"{CSV_SCHEMA}-smallamp", list(rows[0]) if rows else [],
+          lambda: (",".join(map(repr, r.values())) + "\n" for r in rows),
+          lambda: result)
     return 0
 
 
@@ -338,7 +334,9 @@ def cmd_validate(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process (parse_args leaves it as it is)."""
     ap = argparse.ArgumentParser(prog="modwave",
                                  description="Modulational stability of periodic "
                                              "traveling waves of KdV type")

@@ -141,8 +141,10 @@ def test_truncation_convergence(kdv, kdv_wave310):
     near = {}
     for N in (40, 80):
         ev = assemble_local(prof, xi, N).eigenvalues()
-        near[N] = np.sort_complex(ev[np.argsort(np.abs(ev))[:3]])
-    assert np.max(np.abs(near[40] - near[80])) < 1e-8
+        near[N] = ev[np.argsort(np.abs(ev))[:3]]
+    # paired by the best permutation: the real parts that would order them
+    # are rounding noise
+    assert match_slope_sets(near[40], near[80]) < 1e-8
     grid = np.linspace(1e-3, 0.05, 5)
     m1, _ = instability_bubble_scan(local_assembler(prof, N=40), grid)
     m2, _ = instability_bubble_scan(local_assembler(prof, N=80), grid)

@@ -1,10 +1,14 @@
+import csv
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from modwave.cli import main
+from modwave import WaveParams, classify, fingerprint
+from modwave.cli import equation_from_name, main
 
 
 def run_cli(args, capsys):
@@ -194,3 +198,163 @@ def test_nonpositive_tolerance_rejected(capsys):
                            capsys)
     assert code == 1
     assert "tol_quad" in err
+
+
+# one grid per equation with stable, unstable (focusing mKdV above the
+# separatrix, E > 0), no-orbit and on-gamma (a double root at E = 0) rows
+MIXED_GRIDS = {
+    "kdv": ({"a": [-0.6, 0.6, 3], "E": [-0.1, 0.1, 3]}, {"c": -1.5}),
+    "mkdv-focusing": ({"a": [-0.1, 0.1, 3], "E": [-1.0, 0.5, 4]}, {"c": -1.0}),
+    "mkdv-defocusing": ({"a": [-0.1, 0.1, 3], "E": [-0.5, 0.5, 3]}, {"c": 1.0}),
+    "schamel": ({"a": [1.0, 1.4, 3], "E": [-0.5, 0.5, 3]}, {"c": -1.0}),
+}
+
+
+def _sweep_config(tmp_path, equation):
+    grid, params = MIXED_GRIDS[equation]
+    cfg = tmp_path / f"{equation}.json"
+    cfg.write_text(json.dumps({"equation": {"name": equation}, "grid": grid,
+                               "parameters": params}))
+    return cfg
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def _mu_text(m):
+    return f"{m.real!r}{'+' if m.imag >= 0 else ''}{m.imag!r}j"
+
+
+@pytest.mark.parametrize("equation", sorted(MIXED_GRIDS))
+def test_sweep_csv_fields_equal_report_reprs(equation, tmp_path, capsys):
+    grid, params = MIXED_GRIDS[equation]
+    a, E = (g.ravel() for g in np.meshgrid(np.linspace(*grid["a"]),
+                                            np.linspace(*grid["E"]), indexing="ij"))
+    c = np.full(a.size, params["c"])
+    reports = classify(equation_from_name(equation), WaveParams(a, E, c))
+    labels = {r.classification for r in reports}
+    reasons = " ".join(r.diagnostics.get("reason", "") for r in reports)
+    assert {"stable", "hypothesis-failed"} <= labels
+    assert "NoBoundedOrbit" in reasons and "DegenerateRoots" in reasons
+    assert ("unstable" in labels) == (equation == "mkdv-focusing")
+
+    cfg = _sweep_config(tmp_path, equation)
+    code, out, _ = run_cli(["sweep", "--config", str(cfg), "--format", "csv"], capsys)
+    assert code == 0
+    lines = out.split("\n")
+    assert lines[0] == "#schema=modwave-report-1" and lines[-1] == ""
+    rows = list(csv.reader(lines[1:-1]))
+    assert rows[0] == ["equation", "a", "E", "c", "branch", "classification", "delta_mi",
+                       "mu1", "mu2", "mu3", "T", "M", "P", "convention_fingerprint"]
+    assert len(rows) == 1 + len(reports)
+    for row, x, y, z, rep in zip(rows[1:], a.tolist(), E.tolist(), c.tolist(), reports):
+        diag = rep.diagnostics
+        expect = [equation, repr(x), repr(y), repr(z), "0", rep.classification,
+                  "" if math.isnan(rep.delta_mi) else repr(rep.delta_mi),
+                  *map(_mu_text, rep.mu_roots.tolist()),
+                  *(repr(diag.get(k, math.nan)) for k in ("T", "M", "P")), fingerprint()]
+        assert row == expect
+        if rep.classification == "hypothesis-failed":
+            assert row[6:13] == ["", "nan+0.0j", "nan+0.0j", "nan+0.0j", "nan", "nan", "nan"]
+
+    code, out, _ = run_cli(["sweep", "--config", str(cfg), "--format", "json"], capsys)
+    assert code == 0
+    records = _strict_json(out)
+    assert len(records) == len(reports)
+    null_nan = lambda v: None if math.isnan(v) else v
+    for rec, x, y, rep in zip(records, a.tolist(), E.tolist(), reports):
+        assert (rec["a"], rec["E"], rec["c"]) == (x, y, params["c"])
+        assert rec["classification"] == rep.classification
+        assert rec["delta_mi"] == null_nan(rep.delta_mi)
+        assert rec["mu_roots"] == [[null_nan(m.real), m.imag] for m in rep.mu_roots.tolist()]
+        for k in ("T", "M", "P"):
+            assert rec["diagnostics"].get(k) == rep.diagnostics.get(k)
+
+
+def test_json_reports_are_strict(tmp_path, capsys):
+    # the on-gamma point (a double root) has no cubic roots: null, not NaN
+    code, out, _ = run_cli(["classify", "--equation", "kdv",
+                            "--a", "0", "--E", "0", "--c", "-1"], capsys)
+    assert code == 30
+    rec = _strict_json(out)
+    assert rec["classification"] == "hypothesis-failed"
+    assert rec["delta_mi"] is None and rec["mu_roots"] == [[None, 0.0]] * 3
+    cfg = _sweep_config(tmp_path, "kdv")
+    code, out, _ = run_cli(["sweep", "--config", str(cfg), "--format", "json"], capsys)
+    assert code == 0
+    refused = [r for r in _strict_json(out) if r["classification"] == "hypothesis-failed"]
+    assert any("NoBoundedOrbit" in r["diagnostics"]["reason"] for r in refused)
+    assert all(r["mu_roots"] == [[None, 0.0]] * 3 for r in refused)
+
+
+def test_smallamp_tables_pinned(capsys):
+    code, out, _ = run_cli(["smallamp", "--symbol", "whitham", "--format", "csv",
+                            "--k-min", "0.6", "--k-max", "1.8", "--k-step", "0.2"], capsys)
+    assert code == 0
+    assert out == (
+        "#schema=modwave-report-1-smallamp\n"
+        "k,Gamma,Lambda\n"
+        "0.6,0.07429541109143598,0.041867655106082105\n"
+        "0.8,0.06653461515339723,0.04551676215467804\n"
+        "1.0,0.03380937092925235,0.025121865840529806\n"
+        "1.2000000000000002,-0.013701635609024987,-0.010206799921155\n"
+        "1.4000000000000004,-0.0668315288840064,-0.04714284759030655\n"
+        "1.6000000000000005,-0.11957595779555974,-0.07680749296588177\n"
+        "1.8000000000000003,-0.16875980401766189,-0.09626234228622282\n")
+    code, out, _ = run_cli(["smallamp", "--symbol", "ilw",
+                            "--k-min", "0.5", "--k-max", "1.0", "--k-step", "0.5",
+                            "--H-min", "0.5", "--H-max", "1.0", "--H-step", "0.5"], capsys)
+    assert code == 0
+    assert out == """{
+  "all_positive": true,
+  "convention_fingerprint": "88859343ea1e",
+  "rows": [
+    {
+      "Delta_ILW": 14.827351054512109,
+      "Gamma_ILW": 0.007921687540492994,
+      "H": 0.5,
+      "k": 0.5
+    },
+    {
+      "Delta_ILW": 0.7399052375832493,
+      "Gamma_ILW": 0.13212055882855767,
+      "H": 1.0,
+      "k": 0.5
+    },
+    {
+      "Delta_ILW": 11.83848380133199,
+      "Gamma_ILW": 0.13212055882855767,
+      "H": 0.5,
+      "k": 1.0
+    },
+    {
+      "Delta_ILW": 0.3145928288701446,
+      "Gamma_ILW": 2.4915251246104058,
+      "H": 1.0,
+      "k": 1.0
+    }
+  ],
+  "symbol": "ilw"
+}
+"""
+
+
+def test_cached_parser_leaks_no_state(tmp_path, capsys):
+    # the parser is built once per process: options of one call must not
+    # reach the next
+    wave = ["--equation", "mkdv-focusing", "--a", "0.05", "--E", "-0.1", "--c", "-1",
+            "--format", "csv"]
+    commands = [["classify", *wave, "--branch", "1", "--tol-quad", "1e-12"],
+                ["sweep", "--config", str(_sweep_config(tmp_path, "kdv")), "--format", "csv"],
+                ["classify", *wave]]
+    outputs = []
+    for argv in commands:
+        code, out, _ = run_cli(argv, capsys)
+        fresh = subprocess.run([sys.executable, "-m", "modwave.cli", *argv],
+                               capture_output=True, text=True)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        outputs.append(out)
+    assert outputs[0] != outputs[2]          # branch 1 and branch 0 differ
