@@ -20,7 +20,6 @@ from .equations import (Classification, EquationSpec, PotentialPolynomial,
                         effective_potential, kdv_params_from_roots, kdv_spec,
                         mkdv_spec, potential_polynomial, potential_roots,
                         schamel_spec)
-from .elliptic import elliptic_K, jacobi_cn, jacobi_dn, jacobi_sn, jacobi_sn_cn_dn
 from .waves import (MomentTable, WaveProfile, cnoidal_eval, cnoidal_period,
                     dnoidal_eval, dnoidal_period, quadrature_TMPH,
                     resolve_profile, zeta_moments)

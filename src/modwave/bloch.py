@@ -17,8 +17,8 @@ _bloch_operator with its own coefficient samples, period and inner symbol.
 The coefficient does not depend on xi, so it is sampled, checked for
 resolution, FFT'd and turned into its Toeplitz block once per wave; each xi
 then only adds the symbol diagonal and scales the rows by i theta_n.  The
-spectrum comes from a dense QR eigensolve per xi: matrices are a few
-hundred square at most.
+spectrum comes from a dense QR eigensolve per xi (numpy.linalg.eigvals):
+matrices are a few hundred square at most.
 """
 from __future__ import annotations
 
@@ -45,11 +45,7 @@ class BlochMatrix:
     matrix: np.ndarray
 
     def eigenvalues(self) -> np.ndarray:
-        # scipy's LAPACK, imported at first use so that `import modwave`
-        # loads no scipy; numpy's build orders the ~1e-12 real-part noise of
-        # the near-zero eigenvalues differently
-        from scipy.linalg import eigvals
-        return eigvals(self.matrix)
+        return np.linalg.eigvals(self.matrix)
 
 
 def _toeplitz_coeffs(samples: np.ndarray, N: int, tail_tol: float = 1e-12) -> np.ndarray:

@@ -177,8 +177,11 @@ def cmd_sweep(args) -> int:
     for key in ("a", "E", "c"):
         if key in grid_cfg:
             spec_g = grid_cfg[key]
-            if not (isinstance(spec_g, list) and len(spec_g) == 3 and spec_g[2] >= 1):
-                raise ConfigError(f"grid.{key} must be [lo, hi, n>=1]", field=f"grid.{key}")
+            if not (isinstance(spec_g, list) and len(spec_g) == 3
+                    and all(isinstance(x, (int, float)) for x in spec_g)
+                    and 1 <= spec_g[2] < math.inf):
+                raise ConfigError(f"grid.{key} must be [lo, hi, n>=1] of numbers",
+                                  field=f"grid.{key}")
             axes.append((key, np.linspace(spec_g[0], spec_g[1], int(spec_g[2]))))
         else:
             axes.append((key, np.array([_require_number(cfg.get("parameters", {}), key)])))
@@ -198,6 +201,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_smallamp(args) -> int:
+    for field in ("k_step", "H_step"):
+        if not getattr(args, field) > 0:
+            raise ConfigError(f"--{field.replace('_', '-')} must be positive", field=field)
     rows = []
     if args.symbol == "whitham":
         sym = whitham_symbol()

@@ -255,7 +255,7 @@ def potential_polynomial(spec: EquationSpec, params: WaveParams) -> PotentialPol
     raise NonlocalUnsupported("no potential polynomial for nonlocal dispersion")
 
 
-def potential_roots(poly: PotentialPolynomial, raise_on_degenerate: bool = True):
+def potential_roots(poly: PotentialPolynomial):
     """Real roots of P ascending + count of complex-conjugate pairs.
 
     Root finding is companion-matrix based (as numpy.roots).  A root is real
@@ -266,7 +266,7 @@ def potential_roots(poly: PotentialPolynomial, raise_on_degenerate: bool = True)
         raise DomainError("potential polynomial must have degree >= 2")
     real, n_real, n_pairs, repeated = _root_structure(np.asarray(poly.coeffs, float)[None])
     real = real[0, :n_real[0]]
-    if repeated[0] and raise_on_degenerate:
+    if repeated[0]:
         raise DegenerateRoots("repeated real root of E - V", roots=real)
     return real, int(n_pairs[0])
 

@@ -1,6 +1,7 @@
-"""Wave profiles: regularized quadrature for (T, M, P, H) and the moments
-zeta_k, profile evaluation by inverting z(u), and the explicit
-cnoidal/dnoidal families used as cross checks.
+"""Wave profiles: the moments zeta_k by regularized quadrature, and
+(T, M, P, H) read off them; profile evaluation by inverting z(u); the
+explicit cnoidal/dnoidal families (Jacobi cn, dn and K) used as cross
+checks.
 
 All loop integrals over the oscillation interval are reduced to smooth
 integrals by the substitution w = w- + (w+ - w-) sin^2(theta), which
@@ -20,6 +21,9 @@ against the half grid, exceeds tol_quad * max(1, |Q_N|) for any moment.
 A wave still above tolerance at 2^16 intervals raises QuadratureFailure.
 Batches of waves (WaveParams holding arrays) are summed together; each
 row doubles on its own, so its result does not depend on the other rows.
+zeta_moments is the one quadrature: quadrature_TMPH takes T, M, P from its
+table and H as a dot product of the moments with the coefficients of H's
+weight, which is a polynomial in w.
 """
 from __future__ import annotations
 
@@ -30,7 +34,6 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.chebyshev import Chebyshev
 
-from .elliptic import elliptic_K, jacobi_cn, jacobi_dn
 from .equations import (Classification, EquationSpec, PotentialPolynomial,
                         WaveParams, classify_parameters, polyval,
                         potential_polynomial)
@@ -55,13 +58,6 @@ _NOT_PERIODIC = {
 }
 
 
-def _require_periodic(spec, params, branch):
-    cls = classify_parameters(spec, params, branch)
-    if cls.status in _NOT_PERIODIC:
-        raise _NOT_PERIODIC[cls.status]()
-    return cls
-
-
 def _reduced_poly(coeffs, lo, hi) -> np.ndarray:
     """G with P(w) = (w - lo)(hi - w) G(w), by synthetic division (the
     steps of numpy.polynomial.polydiv).  Coefficients run along the last
@@ -75,15 +71,16 @@ def _reduced_poly(coeffs, lo, hi) -> np.ndarray:
     return -c
 
 
-def _quadrature(coeffs, lo, hi, weights, n_weights: int, tol: float):
-    """sqrt(2) * int weight_k(w)/sqrt(P) dw over [lo, hi] for B waves.
+def _quadrature(coeffs, lo, hi, k_max: int, wfac: float, tol: float):
+    """sqrt(2) * int wfac w^k/sqrt(P) dw over [lo, hi], k = 0..k_max, for B
+    waves.
 
-    coeffs (B, n + 1) are the rows of P and lo, hi (B,) their intervals;
-    weights(rows, w) gives the n_weights weights at the points w (b, m) of
-    the given rows as a (b, n_weights, m) array.  Returns the (B, n_weights)
-    values (nan where a row failed), the trapezoid intervals on [0, pi/2]
-    each row used, and {row: QuadratureFailure}."""
+    coeffs (B, n + 1) are the rows of P and lo, hi (B,) their intervals.
+    Returns the (B, k_max + 1) values (nan where a row failed), the
+    trapezoid intervals on [0, pi/2] each row used, and
+    {row: QuadratureFailure}."""
     B = len(lo)
+    n_weights = k_max + 1
     G = _reduced_poly(coeffs, lo, hi)
     span = hi - lo
     values = np.full((B, n_weights), np.nan)
@@ -103,7 +100,11 @@ def _quadrature(coeffs, lo, hi, weights, n_weights: int, tol: float):
         for k in range(0, len(rows), step):
             r = rows[k:k + step]
             w = lo[r, None] + span[r, None] * s2
-            g = weights(r, w) * (2.0 / np.sqrt(polyval(G[r], w)))[:, None, :]
+            g = np.empty((w.shape[0], n_weights, w.shape[1]))
+            g[:, 0] = wfac
+            for j in range(1, n_weights):
+                g[:, j] = g[:, j - 1] * w
+            g *= (2.0 / np.sqrt(polyval(G[r], w)))[:, None, :]
             if first:
                 g[..., [0, -1]] *= 0.5
                 out[1, k:k + step] = g[..., 1::2].sum(axis=-1)
@@ -137,40 +138,6 @@ def _quadrature(coeffs, lo, hi, weights, n_weights: int, tol: float):
     return values, nodes, failures
 
 
-def _moment_integrals(poly: PotentialPolynomial, lo: float, hi: float,
-                      weights, tol: float):
-    """sqrt(2) * int weight(w)/sqrt(P) dw over [lo, hi] for several weights
-    (callables of w) of one wave; raises QuadratureFailure."""
-    vals, _, failures = _quadrature(
-        np.asarray(poly.coeffs, dtype=float)[None], np.array([lo], float),
-        np.array([hi], float),
-        lambda rows, w: np.stack([fw(w) for fw in weights], axis=1), len(weights), tol)
-    if failures:
-        raise failures[0]
-    return vals[0].tolist()
-
-
-def _periodic_moments(spec, params, branch, weights, n_weights, tol):
-    """Classification, potential polynomial and the quadrature of the
-    weights over each periodic wave of a batch, with every non-periodic
-    or failed row in ``failures``."""
-    cls = classify_parameters(spec, params, branch)
-    poly = potential_polynomial(spec, params)
-    failures = dict(cls.failures)
-    for status, error in _NOT_PERIODIC.items():
-        flag_rows(failures, cls.status == status, lambda i: error())
-    rows = np.flatnonzero(~np.isnan(cls.w_minus))     # periodic, branch in range
-    vals, nodes, quad_failures = _quadrature(
-        poly.coeffs[rows], cls.w_minus[rows], cls.w_plus[rows],
-        lambda r, w: weights(rows[r], w), n_weights, tol)
-    values = np.full((len(cls.status), n_weights), np.nan)
-    values[rows] = vals
-    all_nodes = np.zeros(len(cls.status), dtype=int)
-    all_nodes[rows] = nodes
-    failures.update({int(rows[k]): exc for k, exc in quad_failures.items()})
-    return cls, poly, values, all_nodes, failures
-
-
 def zeta_moments(spec: EquationSpec, params: WaveParams, k_max: int,
                  branch: int = 0, tol_quad: float = TOL_QUAD) -> "MomentTable":
     """Moments zeta_0..zeta_kmax of the wave.
@@ -180,22 +147,26 @@ def zeta_moments(spec: EquationSpec, params: WaveParams, k_max: int,
     mu = 2v for the Schamel substitution u = v^2.  With this normalization
     the physical quantities are  (T, M, P) = (zeta_i0, zeta_i1, zeta_i2)
     at the indices carried by the potential polynomial ((0,1,2) or (1,3,5)).
-    A batch of parameters gives a batch MomentTable.
+    A batch of parameters gives a batch MomentTable; every non-periodic or
+    failed row is in its ``failures``.
     """
     batch = params.as_batch()
+    cls = classify_parameters(spec, batch, branch)
+    poly = potential_polynomial(spec, batch)
+    failures = dict(cls.failures)
+    for status, error in _NOT_PERIODIC.items():
+        flag_rows(failures, cls.status == status, lambda i: error())
+    rows = np.flatnonzero(~np.isnan(cls.w_minus))     # periodic, branch in range
     # Schamel measure is 2 v^k dv (the u = v^2 Jacobian lives in the odd
     # moment indices (T,M,P) = (zeta_1, zeta_3, zeta_5), not in the weight)
     wfac = 2.0 if spec.kind == "local-power" else 1.0
-
-    def powers(rows, w):
-        out = np.empty((w.shape[0], k_max + 1, w.shape[1]))
-        out[:, 0] = wfac
-        for k in range(1, k_max + 1):
-            out[:, k] = out[:, k - 1] * w
-        return out
-
-    cls, poly, zeta, nodes, failures = _periodic_moments(spec, batch, branch, powers,
-                                                         k_max + 1, tol_quad)
+    vals, row_nodes, quad_failures = _quadrature(
+        poly.coeffs[rows], cls.w_minus[rows], cls.w_plus[rows], k_max, wfac, tol_quad)
+    zeta = np.full((len(cls.status), k_max + 1), np.nan)
+    zeta[rows] = vals
+    nodes = np.zeros(len(cls.status), dtype=int)
+    nodes[rows] = row_nodes
+    failures.update({int(rows[k]): exc for k, exc in quad_failures.items()})
     table = MomentTable(zeta=zeta, poly=poly, classification=cls,
                         convention="sqrt2-denominator, physical zeta",
                         nodes=nodes, failures=failures)
@@ -234,35 +205,26 @@ class MomentTable:
 
 def quadrature_TMPH(spec: EquationSpec, params: WaveParams, branch: int = 0,
                     tol_quad: float = TOL_QUAD):
-    """Period T, mass M, momentum P, Hamiltonian H by regularized quadrature.
+    """Period T, mass M, momentum P, Hamiltonian H of one wave.
 
     T = sqrt(2) oint dw/sqrt(E-V) (loop = twice the one-way integral),
-    M = int u dx, P = int u^2 dx, H = int (u_x^2/2 - F(u)) dx over a period.
-    One wave only.
+    M = int u dx, P = int u^2 dx, H = int (u_x^2/2 - F(u)) dx over a period,
+    all from one zeta_moments table: (T, M, P) is its ``tmp`` and H is the
+    moments dotted with the coefficients of H's weight E - V - F, a
+    polynomial in w.  For Schamel F(v^2) = lead v^5 and zeta_k already
+    carries the 2v measure, so the weight is v (P_v - lead v^5).
     """
     if params.is_batch:
         raise DomainError("quadrature_TMPH takes the parameters of one wave")
-    cls = _require_periodic(spec, params, branch)
     poly = potential_polynomial(spec, params)
     if poly.var == "u":
-        F = spec.F_coeffs()
-        weights = [
-            lambda w: np.ones_like(np.asarray(w, float)),
-            lambda w: w,
-            lambda w: w ** 2,
-            lambda w: poly(w) - npoly.polyval(w, F),
-        ]
+        h = np.asarray(poly.coeffs) - spec.F_coeffs()
     else:
-        # u = v^2: u dx weight 2v^3, u^2 dx weight 2v^5, H weight 2v (P_v - F(v^2))
-        lead = spec.power_coeff * 2.0 / 5.0
-        weights = [
-            lambda w: 2.0 * w,
-            lambda w: 2.0 * w ** 3,
-            lambda w: 2.0 * w ** 5,
-            lambda w: 2.0 * w * (poly(w) - lead * w ** 5),
-        ]
-    T, M, P, H = _moment_integrals(poly, cls.w_minus, cls.w_plus, weights, tol_quad)
-    return T, M, P, H
+        h = np.array([0.0, *poly.coeffs])
+        h[-1] -= spec.power_coeff * 2.0 / 5.0
+    table = zeta_moments(spec, params, len(h) - 1, branch, tol_quad)
+    T, M, P = map(float, table.tmp)
+    return T, M, P, float(h @ table.zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +285,9 @@ def resolve_profile(spec: EquationSpec, params: WaveParams, branch: int = 0,
     and evenness, then theta solves Z(theta) = z by safeguarded Newton
     (machine accurate; Z' = h > 0).
     """
-    cls = _require_periodic(spec, params, branch)
+    cls = classify_parameters(spec, params, branch)
+    if cls.status in _NOT_PERIODIC:
+        raise _NOT_PERIODIC[cls.status]()
     poly = potential_polynomial(spec, params)
     lo, hi = cls.w_minus, cls.w_plus
     h, Z = _chebyshev_z_of_theta(poly, lo, hi, degree)
@@ -353,24 +317,41 @@ def resolve_profile(spec: EquationSpec, params: WaveParams, branch: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# explicit families
+# explicit families: K(m) and cn, dn (parameter m = k^2) from scipy.special,
+# imported at first use so that `import modwave` loads no scipy
 # ---------------------------------------------------------------------------
+
+def _cnoidal_m(alpha: float, beta: float, gamma: float) -> float:
+    if not gamma < beta < alpha:
+        raise DomainError("need gamma < beta < alpha")
+    return (alpha - beta) / (alpha - gamma)
+
 
 def cnoidal_eval(alpha: float, beta: float, gamma: float, z0: float, z):
     """KdV cnoidal wave  u = beta + (alpha-beta) cn^2(sqrt((alpha-gamma)/12)(z+z0); m),
     m = (alpha-beta)/(alpha-gamma); solves u_z^2 = (alpha-u)(u-beta)(u-gamma)/3.
     Crest u = alpha at z = -z0; period 4 sqrt(3) K(m)/sqrt(alpha-gamma)."""
-    if not gamma < beta < alpha:
-        raise DomainError("need gamma < beta < alpha")
-    m = (alpha - beta) / (alpha - gamma)
+    from scipy.special import ellipj
+    m = _cnoidal_m(alpha, beta, gamma)
     nu = np.sqrt((alpha - gamma) / 12.0)
-    cn = jacobi_cn(nu * (np.asarray(z, float) + z0), m)
+    cn = ellipj(nu * (np.asarray(z, float) + z0), m)[1]
     return beta + (alpha - beta) * cn ** 2
 
 
 def cnoidal_period(alpha: float, beta: float, gamma: float) -> float:
-    m = (alpha - beta) / (alpha - gamma)
-    return 4.0 * np.sqrt(3.0) * elliptic_K(m) / np.sqrt(alpha - gamma)
+    from scipy.special import ellipk
+    m = _cnoidal_m(alpha, beta, gamma)
+    return 4.0 * np.sqrt(3.0) * ellipk(m) / np.sqrt(alpha - gamma)
+
+
+def _dnoidal_k2sq_m(E: float, c: float):
+    """k2^2 and the parameter m = 1 - k1^2/k2^2 of the dnoidal wave."""
+    disc = c * c + 4.0 * E / 3.0
+    if not (c < 0.0 and E < 0.0 and disc > 0.0):
+        raise DomainError("dnoidal branch needs c < 0, E < 0, c^2 + 4E/3 > 0")
+    k1sq = -3.0 * (c + np.sqrt(disc))
+    k2sq = -3.0 * (c - np.sqrt(disc))
+    return k2sq, 1.0 - k1sq / k2sq
 
 
 def dnoidal_eval(E: float, c: float, z):
@@ -380,18 +361,13 @@ def dnoidal_eval(E: float, c: float, z):
         k1^2, k2^2 = -3(c +- sqrt(c^2 + 4E/3)),
 
     solving u_z^2 = 2E - c u^2 - u^4/6."""
-    disc = c * c + 4.0 * E / 3.0
-    if not (c < 0.0 and E < 0.0 and disc > 0.0):
-        raise DomainError("dnoidal branch needs c < 0, E < 0, c^2 + 4E/3 > 0")
-    k1sq = -3.0 * (c + np.sqrt(disc))
-    k2sq = -3.0 * (c - np.sqrt(disc))
+    from scipy.special import ellipj
+    k2sq, m = _dnoidal_k2sq_m(E, c)
     k2 = np.sqrt(k2sq)
-    m = 1.0 - k1sq / k2sq
-    return k2 * jacobi_dn(k2 * np.asarray(z, float) / np.sqrt(6.0), m)
+    return k2 * ellipj(k2 * np.asarray(z, float) / np.sqrt(6.0), m)[2]
 
 
 def dnoidal_period(E: float, c: float) -> float:
-    disc = c * c + 4.0 * E / 3.0
-    k2sq = -3.0 * (c - np.sqrt(disc))
-    m = 1.0 - (-3.0 * (c + np.sqrt(disc))) / k2sq
-    return 2.0 * elliptic_K(m) * np.sqrt(6.0) / np.sqrt(k2sq)
+    from scipy.special import ellipk
+    k2sq, m = _dnoidal_k2sq_m(E, c)
+    return 2.0 * ellipk(m) * np.sqrt(6.0) / np.sqrt(k2sq)

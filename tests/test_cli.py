@@ -57,6 +57,26 @@ def test_malformed_config_exit1(tmp_path, capsys):
     assert "a" in err            # field name in the diagnostic
 
 
+@pytest.mark.parametrize("grid", [{"a": [-0.6, "x", 3]}, {"a": [-0.6, 0.6, "3"]}],
+                         ids=["lo-hi-string", "count-string"])
+def test_sweep_non_numeric_grid_entry_is_an_error_line(grid, tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"equation": {"name": "kdv"}, "grid": grid,
+                               "parameters": {"E": 0.0, "c": -1.5}}))
+    code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "grid.a" in err
+
+
+@pytest.mark.parametrize("argv", [["--symbol", "ilw", "--k-step", "0"],
+                                  ["--symbol", "whitham", "--k-step", "-0.1"]],
+                         ids=["ilw-zero", "whitham-negative"])
+def test_smallamp_nonpositive_step_is_an_error_line(argv, capsys):
+    code, out, err = run_cli(["smallamp", *argv], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "k_step" in err
+
+
 def test_unknown_equation_exit1(capsys):
     code, _, err = run_cli(["classify", "--equation", "nope",
                             "--a", "0", "--E", "0", "--c", "-1"], capsys)
@@ -131,12 +151,19 @@ def test_fingerprint_golden():
 
 
 def test_import_loads_no_scipy_or_multiprocessing():
-    code = ("import sys, modwave, modwave.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-            "('scipy', 'multiprocessing')))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    # the import alone, then a local Bloch slope measurement after it
+    local_bloch = (
+        "from modwave import kdv_params_from_roots, kdv_spec, resolve_profile; "
+        "from modwave.bloch import local_assembler, modulation_slopes; "
+        "modulation_slopes(local_assembler(resolve_profile(kdv_spec(), "
+        "kdv_params_from_roots(3.0, 1.0, 0.0)), N=48)); ")
+    for work in ("", local_bloch):
+        code = ("import sys, modwave, modwave.cli; " + work +
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+                "('scipy', 'multiprocessing')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", work
 
 
 def test_smallamp_whitham_cutoff(capsys):

@@ -5,7 +5,8 @@ from scipy.integrate import quad, solve_ivp
 from conftest import sample_kdv, schamel_params_from_interval
 from modwave import (WaveParams, classify_parameters, cnoidal_eval,
                      cnoidal_period, dnoidal_eval, dnoidal_period,
-                     kdv_params_from_roots, mkdv_spec, param_jacobian,
+                     effective_potential, kdv_params_from_roots, kdv_spec,
+                     mkdv_spec, param_jacobian,
                      quadrature_TMPH, resolve_profile, schamel_spec, zeta_moments)
 from modwave.errors import DomainError
 
@@ -58,6 +59,24 @@ def test_schamel_period_vs_u_quadrature():
     T_direct = np.sqrt(2.0) * quad(integrand, 1e-9, np.pi / 2 - 1e-9,
                                    epsabs=1e-12, epsrel=1e-12, limit=300)[0]
     assert table.zeta[1] == pytest.approx(T_direct, rel=1e-8)
+
+
+@pytest.mark.parametrize("spec, p", [
+    (kdv_spec(), kdv_params_from_roots(3.0, 1.0, 0.0)),
+    (mkdv_spec(+1), WaveParams(0.0, 0.5, -1.0)),
+    (mkdv_spec(+1), WaveParams(0.0, -0.2, -1.0)),
+    (mkdv_spec(-1), WaveParams(0.0, 0.5, 1.0)),
+    (schamel_spec(), schamel_params_from_interval(0.6, 1.2, -1.0)),
+], ids=["kdv", "mkdv-focusing-cn", "mkdv-focusing-dn", "mkdv-defocusing", "schamel"])
+def test_quadrature_H_matches_profile_trapezoid(spec, p):
+    # H = int (u_z^2/2 - F(u)) dz = int (E - V(u) - F(u)) dz over a period,
+    # by the periodic trapezoid rule on samples of the inverted profile
+    H = quadrature_TMPH(spec, p)[3]
+    prof = resolve_profile(spec, p)
+    u = prof(np.arange(128) * (prof.period / 128))
+    V = effective_potential(spec, p.a, p.c, u)
+    F = V - 0.5 * p.c * u ** 2 + p.a * u
+    assert H == pytest.approx(prof.period * np.mean(p.E - V - F), rel=1e-10)
 
 
 def test_quadrature_self_consistency(kdv, kdv_wave310):
@@ -188,6 +207,14 @@ def test_explicit_family_domain_errors():
         dnoidal_eval(-0.5, 1.0, 0.0)                # c > 0
 
 
+def test_explicit_family_periods_reject_bad_parameters():
+    # the elliptic parameter m would leave [0, 1), where K is not the period
+    with pytest.raises(DomainError):
+        cnoidal_period(1.0, 2.0, 0.0)               # beta > alpha: m = -1
+    with pytest.raises(DomainError):
+        dnoidal_period(-0.5, 1.0)                   # c > 0
+
+
 def test_profile_extrema_match_interval(kdv, kdv_wave310):
     prof = resolve_profile(kdv, kdv_wave310)
     zs = np.linspace(0.0, prof.period, 513)
@@ -216,10 +243,10 @@ def test_nonperiodic_error_types(kdv):
 
 def test_quadrature_failure_guard():
     # interval straddling an interior root: reduced polynomial not positive
-    from modwave.equations import PotentialPolynomial
     from modwave.errors import QuadratureFailure
-    from modwave.waves import _moment_integrals
+    from modwave.waves import _quadrature
     coeffs = np.asarray(np.polynomial.polynomial.polyfromroots([0.0, 1.0, 2.0]))
-    poly = PotentialPolynomial(tuple(-coeffs), var="u")
-    with pytest.raises(QuadratureFailure):
-        _moment_integrals(poly, 0.0, 2.0, [lambda w: np.ones_like(w)], 1e-11)
+    vals, nodes, failures = _quadrature(-coeffs[None], np.array([0.0]), np.array([2.0]),
+                                        0, 1.0, 1e-11)
+    assert isinstance(failures[0], QuadratureFailure)
+    assert np.isnan(vals[0]).all() and nodes[0] == 0
