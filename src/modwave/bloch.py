@@ -33,7 +33,7 @@ from .errors import BranchMixing, ResolutionError
 from .smallamp import DispersionSymbol, StokesWave
 from .waves import WaveProfile
 
-DEFAULT_XI_LIST = (1e-2, 5e-3, 2.5e-3)
+XI_LIST = (1e-2, 5e-3, 2.5e-3)   # Floquet exponents of the slope extrapolation, descending
 SAMPLES_PER_MODE = 8           # coefficient samples per Fourier mode kept
 
 
@@ -159,31 +159,27 @@ def _match_branches(prev: np.ndarray, cur: np.ndarray, gap_tol: float = 1e-10):
     return cur[list(best_perm)]
 
 
-def modulation_slopes(assembler: Callable[[float], BlochMatrix],
-                      xi_list: Sequence[float] = DEFAULT_XI_LIST) -> np.ndarray:
+def modulation_slopes(assembler: Callable[[float], BlochMatrix]) -> np.ndarray:
     """Slopes mu_j = lim lambda_j(xi)/(i xi) of the three eigenvalue
     branches bifurcating from the origin.
 
-    At each xi the three eigenvalues nearest zero are selected, matched to
-    the previous xi by nearest continuation, and the slopes are Richardson
-    (Neville) extrapolated to xi = 0.  Needs at least three xi values.
+    At each xi of XI_LIST the three eigenvalues nearest zero are selected,
+    matched to the previous xi by nearest continuation, and the slopes are
+    Richardson (Neville) extrapolated to xi = 0.
     """
-    xis = sorted(xi_list, reverse=True)
-    if len(xis) < 3:
-        raise ValueError("need at least three xi values")
     rows = []
     prev = None
-    for xi in xis:
+    for xi in XI_LIST:
         mus = _three_nearest_zero(assembler(xi).eigenvalues()) / (1j * xi)
         mus = np.sort_complex(mus) if prev is None else _match_branches(prev, mus)
         prev = mus
         rows.append(mus)
     table = [np.array(rows)]                  # Neville in powers of xi
-    xs = np.array(xis)
-    for lev in range(1, len(xis)):
+    xs = np.array(XI_LIST)
+    for lev in range(1, len(xs)):
         prev_col = table[-1]
-        nxt = np.empty((len(xis) - lev, 3), dtype=complex)
-        for i in range(len(xis) - lev):
+        nxt = np.empty((len(xs) - lev, 3), dtype=complex)
+        for i in range(len(xs) - lev):
             x0, x1 = xs[i], xs[i + lev]
             nxt[i] = (x0 * prev_col[i + 1] - x1 * prev_col[i]) / (x0 - x1)
         table.append(nxt)

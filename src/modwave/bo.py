@@ -25,6 +25,9 @@ import numpy as np
 
 from .errors import ConstraintViolation
 
+QUAD_POINTS = 4096        # bo_quadrature_MP trapezoid nodes per period
+GALILEAN_POINTS = 257     # bo_galilean_check grid points on [0, period]
+
 
 @dataclass(frozen=True)
 class BOWaveParams:
@@ -66,9 +69,10 @@ def bo_conserved(params: BOWaveParams):
     return M, P, MP_ac
 
 
-def bo_quadrature_MP(params: BOWaveParams, n: int = 4096):
+def bo_quadrature_MP(params: BOWaveParams):
     """Trapezoid quadrature of M and P from the profile (oracle for the
     closed forms; spectrally accurate for this analytic integrand)."""
+    n = QUAD_POINTS
     T = params.period
     z = np.arange(n) * T / n
     u = bo_eval(params, z)
@@ -109,12 +113,12 @@ def bo_modulation_speeds(params: BOWaveParams) -> np.ndarray:
     return np.sort(np.array([-params.s, -params.k, params.k]))
 
 
-def bo_galilean_check(params: BOWaveParams, shift: float, n: int = 257) -> float:
+def bo_galilean_check(params: BOWaveParams, shift: float) -> float:
     """Max-norm residual of u(z; a - c*l + l^2, k, c - 2l) - u(z; a,k,c) - l
     over a period grid (the s = lambda identification; c^2 - 4a is an
     invariant of the shift, so the residual vanishes identically)."""
     lam = shift
     shifted = BOWaveParams(a=params.a - params.c * lam + lam ** 2,
                            k=params.k, c=params.c - 2.0 * lam)
-    z = np.linspace(0.0, params.period, n)
+    z = np.linspace(0.0, params.period, GALILEAN_POINTS)
     return float(np.max(np.abs(bo_eval(shifted, z) - bo_eval(params, z) - lam)))

@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Subcommands: classify, sweep, smallamp, bloch-check, validate.
+Subcommands: classify, sweep, smallamp, bloch-check, validate.  Each
+declares only the options its handler reads (`modwave <cmd> --help`
+lists them); any other option is an argparse usage error, exit 2.
 Exit codes for classify: 0 stable, 10 unstable, 20 degenerate,
 30 hypothesis-failed, 1 error.  Reports embed the resolved-convention
 fingerprint so numbers stay comparable across versions.  A sweep
@@ -349,16 +351,19 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--equation", help="kdv | mkdv-focusing | mkdv-defocusing | schamel")
-        p.add_argument("--config", help="JSON analysis request")
+    def output(p):
         p.add_argument("--out", help="output path (stdout if omitted)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
+
+    def request(p):
+        """The options of the commands that write classify reports."""
+        p.add_argument("--equation", help="kdv | mkdv-focusing | mkdv-defocusing | schamel")
+        p.add_argument("--config", help="JSON analysis request")
+        output(p)
         p.add_argument("--tol-quad", dest="tol_quad", type=float, default=None)
-        p.add_argument("--modes", type=int, default=64, help="Bloch truncation N")
 
     p = sub.add_parser("classify", help="classify one wave")
-    common(p)
+    request(p)
     p.add_argument("--a", type=float)
     p.add_argument("--E", type=float)
     p.add_argument("--c", type=float)
@@ -366,11 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("sweep", help="grid sweep from a config file")
-    common(p)
+    request(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("smallamp", help="small-amplitude index tables")
-    common(p)
+    output(p)
     p.add_argument("--symbol", choices=("whitham", "fkdv", "ilw"), default="whitham")
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--k-min", dest="k_min", type=float, default=0.1)
@@ -384,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_smallamp)
 
     p = sub.add_parser("bloch-check", help="compare Bloch slopes with theory")
-    common(p)
+    p.add_argument("--equation", help="kdv | mkdv-focusing | mkdv-defocusing | schamel | bo")
+    p.add_argument("--modes", type=int, default=64, help="Bloch truncation N")
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--E", type=float, default=0.0)
     p.add_argument("--c", type=float, default=-2.0)
@@ -394,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bloch_check)
 
     p = sub.add_parser("validate", help="run the oracle cross-check suites")
-    common(p)
     p.set_defaults(func=cmd_validate)
     return ap
 

@@ -7,8 +7,12 @@ analogue) is  (1/2) u_z^2 = E - V(u; a, c)  with effective potential
 
 Periodic waves correspond to oscillation intervals [u-, u+] on which the
 potential polynomial P(u) = E - V(u) is positive with simple roots at the
-endpoints.  Power-law (Schamel) nonlinearities are reduced to polynomial
-form by u = v^2; the module then stores and classifies the v-side quintic.
+endpoints.  Two kinds of equation are specified here: "local-polynomial"
+(f a polynomial: KdV, mKdV, custom) and "local-power" (the Schamel law
+f = 5/2 |u|^{3/2}), which u = v^2 reduces to polynomial form; the module
+then stores and classifies the v-side quintic.  Nonlocal dispersion
+(Benjamin-Ono, Whitham, fKdV, ILW) is not an EquationSpec: it is a
+DispersionSymbol of the small-amplitude and Bloch modules.
 
 WaveParams may carry 1-D arrays of (a, E, c): a batch of waves of one
 equation.  potential_polynomial and classify_parameters then work on all
@@ -18,52 +22,43 @@ fails is recorded in the result's ``failures`` instead of raising.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import DegenerateRoots, DomainError, NonlocalUnsupported, flag_rows
+from .errors import DegenerateRoots, DomainError, flag_rows
 
 TOL_ROOT = 1e-9          # realness/multiplicity decisions, relative to coeff norm
+SCHAMEL_EXPONENT = 1.5   # f(u) = power_coeff * |u|^SCHAMEL_EXPONENT
 
 
 @dataclass(frozen=True)
 class EquationSpec:
     """Which dispersive equation is being analyzed.
 
-    kind is one of "local-polynomial", "local-power", "nonlocal".  For
-    local-polynomial equations ``f_coeffs`` are the ascending coefficients
-    of f.  For the power law ``f(u) = power_coeff * |u|^power_exponent``
-    (Schamel: 5/2 |u|^{3/2}) profiles are positive and handled through
-    u = v^2.  Nonlocal equations carry a dispersion symbol and are analyzed
-    by the small-amplitude and Bloch machinery instead.
+    kind is "local-polynomial" or "local-power".  For local-polynomial
+    equations ``f_coeffs`` are the ascending coefficients of f.  The power
+    law is ``f(u) = power_coeff * |u|^{3/2}`` (Schamel: 5/2 |u|^{3/2});
+    its profiles are positive and handled through u = v^2.
     """
 
     kind: str
     name: str = ""
     f_coeffs: tuple = ()
-    power_exponent: float = 1.5
     power_coeff: float = 2.5
-    symbol: Optional[object] = None
 
     def __post_init__(self):
-        if self.kind not in ("local-polynomial", "local-power", "nonlocal"):
+        if self.kind not in ("local-polynomial", "local-power"):
             raise DomainError(f"unknown equation kind {self.kind!r}")
         if self.kind == "local-polynomial":
             if len(self.f_coeffs) < 2 or self.f_coeffs[-1] == 0:
                 raise DomainError("polynomial nonlinearity must have degree >= 1")
-        if self.kind == "local-power" and self.power_exponent != 1.5:
-            raise DomainError("only the Schamel exponent 3/2 is supported")
-
-    @property
-    def is_local(self) -> bool:
-        return self.kind != "nonlocal"
 
     def F_coeffs(self) -> np.ndarray:
         """Ascending coefficients of the antiderivative F (F(0)=0)."""
         if self.kind != "local-polynomial":
-            raise NonlocalUnsupported("F is polynomial only for local-polynomial specs")
+            raise DomainError("F is polynomial only for local-polynomial specs")
         f = np.asarray(self.f_coeffs, dtype=float)
         return np.concatenate([[0.0], f / np.arange(1, len(f) + 1)])
 
@@ -72,28 +67,27 @@ class EquationSpec:
         if self.kind == "local-polynomial":
             der = npoly.polyder(np.asarray(self.f_coeffs, dtype=float))
             return lambda u: npoly.polyval(np.asarray(u, dtype=float), der)
-        if self.kind == "local-power":
-            p, s = self.power_exponent, self.power_coeff
-            return lambda u: s * p * np.asarray(u, dtype=float) ** (p - 1.0)
-        raise NonlocalUnsupported("pointwise f' undefined for nonlocal specs")
+        p, s = SCHAMEL_EXPONENT, self.power_coeff
+        return lambda u: s * p * np.asarray(u, dtype=float) ** (p - 1.0)
 
 
-def kdv_spec(scale: float = 0.5) -> EquationSpec:
-    """KdV, f(u) = scale*u^2.  Canonical choice scale = 1/2."""
-    return EquationSpec("local-polynomial", name="kdv", f_coeffs=(0.0, 0.0, scale))
+def kdv_spec() -> EquationSpec:
+    """Canonical KdV, f(u) = u^2/2."""
+    return EquationSpec("local-polynomial", name="kdv", f_coeffs=(0.0, 0.0, 0.5))
 
 
-def mkdv_spec(sign: int = +1, scale: float = 1.0 / 3.0) -> EquationSpec:
-    """Modified KdV, f(u) = sign*scale*u^3; sign=+1 focusing, -1 defocusing."""
+def mkdv_spec(sign: int = +1) -> EquationSpec:
+    """Modified KdV, f(u) = sign*u^3/3; sign=+1 focusing, -1 defocusing."""
     if sign not in (+1, -1):
         raise DomainError("mKdV sign must be +1 or -1")
     name = "mkdv-focusing" if sign > 0 else "mkdv-defocusing"
-    return EquationSpec("local-polynomial", name=name, f_coeffs=(0.0, 0.0, 0.0, sign * scale))
+    return EquationSpec("local-polynomial", name=name,
+                        f_coeffs=(0.0, 0.0, 0.0, sign * (1.0 / 3.0)))
 
 
-def schamel_spec(coeff: float = 2.5) -> EquationSpec:
-    """Schamel equation, f(u) = coeff*|u|^{3/2} on positive profiles."""
-    return EquationSpec("local-power", name="schamel", power_exponent=1.5, power_coeff=coeff)
+def schamel_spec() -> EquationSpec:
+    """Schamel equation, f(u) = 5/2 |u|^{3/2} on positive profiles."""
+    return EquationSpec("local-power", name="schamel")
 
 
 @dataclass(frozen=True)
@@ -130,13 +124,11 @@ class WaveParams:
 @dataclass(frozen=True)
 class PotentialPolynomial:
     """P(w) = E - V in the integration variable w (w = u, or w = v = sqrt(u)
-    for Schamel).  ``weight_power`` is the extra w-power in the moment
-    measure (0 for u-side, 1 for the 2v dv Schamel measure).  For a batch
-    of waves ``coeffs`` is a (B, degree + 1) array, one row per wave."""
+    for Schamel).  For a batch of waves ``coeffs`` is a (B, degree + 1)
+    array, one row per wave."""
 
     coeffs: tuple                 # ascending; (B, degree + 1) array for a batch
     var: str                      # "u" or "v"
-    weight_power: int = 0         # measure weight w^weight_power (with factor 2 for v)
     tmp_indices: tuple = (0, 1, 2)
     grad_offsets: tuple = (1, 0, 2)   # moment-index offsets for d/da, d/dE, d/dc
 
@@ -220,11 +212,9 @@ def effective_potential(spec: EquationSpec, a: float, c: float, u) -> float:
     u = np.asarray(u, dtype=float)
     if spec.kind == "local-polynomial":
         F = npoly.polyval(u, spec.F_coeffs())
-    elif spec.kind == "local-power":
-        p1 = spec.power_exponent + 1.0
-        F = spec.power_coeff / p1 * np.abs(u) ** p1
     else:
-        raise NonlocalUnsupported("no pointwise potential for nonlocal dispersion")
+        p1 = SCHAMEL_EXPONENT + 1.0
+        F = spec.power_coeff / p1 * np.abs(u) ** p1
     out = F + 0.5 * c * u ** 2 - a * u
     return float(out) if out.ndim == 0 else out
 
@@ -244,15 +234,12 @@ def potential_polynomial(spec: EquationSpec, params: WaveParams) -> PotentialPol
         coeffs[..., 1] += a
         coeffs[..., 2] -= 0.5 * c
         return PotentialPolynomial(coeffs if batch else tuple(coeffs), var="u")
-    if spec.kind == "local-power":
-        # u = v^2:  P_v(v) = E + a v^2 - (c/2) v^4 - (coeff*2/5) v^5
-        lead = spec.power_coeff * 2.0 / 5.0
-        coeffs = (E, 0.0, a, 0.0, -0.5 * c, -lead)
-        if batch:
-            coeffs = np.stack([np.broadcast_to(x, a.shape) for x in coeffs], axis=-1)
-        return PotentialPolynomial(coeffs, var="v", weight_power=1,
-                                   tmp_indices=(1, 3, 5), grad_offsets=(2, 0, 4))
-    raise NonlocalUnsupported("no potential polynomial for nonlocal dispersion")
+    # u = v^2:  P_v(v) = E + a v^2 - (c/2) v^4 - (coeff*2/5) v^5
+    lead = spec.power_coeff * 2.0 / 5.0
+    coeffs = (E, 0.0, a, 0.0, -0.5 * c, -lead)
+    if batch:
+        coeffs = np.stack([np.broadcast_to(x, a.shape) for x in coeffs], axis=-1)
+    return PotentialPolynomial(coeffs, var="v", tmp_indices=(1, 3, 5), grad_offsets=(2, 0, 4))
 
 
 def potential_roots(poly: PotentialPolynomial):
@@ -271,27 +258,29 @@ def potential_roots(poly: PotentialPolynomial):
     return real, int(n_pairs[0])
 
 
-def _sylvester(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Sylvester matrix of p (deg m) and q (deg l), ascending input."""
-    m, l = len(p) - 1, len(q) - 1
-    S = np.zeros((m + l, m + l))
-    pd, qd = p[::-1], q[::-1]
-    for i in range(l):
-        S[i, i:i + m + 1] = pd
-    for i in range(m):
-        S[l + i, i:i + l + 1] = qd
+def sylvester_matrix(coeffs) -> np.ndarray:
+    """Sylvester matrix of (P, P') for the degree-n polynomials whose
+    ascending coefficients run along the last axis of coeffs: n - 1 band
+    rows of P's coefficients, then n band rows of P' = (a1, 2 a2, ..., n an),
+    each row shifted one column right of the one above.  Leading axes (one
+    per polynomial) give a (..., 2n - 1, 2n - 1) stack."""
+    a = np.asarray(coeffs, dtype=float)
+    n = a.shape[-1] - 1
+    S = np.zeros(a.shape[:-1] + (2 * n - 1, 2 * n - 1))
+    for i in range(n - 1):
+        S[..., i, i:i + n + 1] = a
+    da = a[..., 1:] * np.arange(1, n + 1)
+    for i in range(n):
+        S[..., n - 1 + i, i:i + n] = da
     return S
 
 
-def resultant(p, q) -> float:
-    return float(np.linalg.det(_sylvester(np.asarray(p, float), np.asarray(q, float))))
-
-
 def discriminant(poly: PotentialPolynomial) -> float:
-    """Polynomial discriminant of P via the resultant of (P, P')."""
+    """Polynomial discriminant of P: (-1)^{n(n-1)/2} Res(P, P') / a_n, the
+    resultant being the determinant of the Sylvester matrix."""
     p = np.asarray(poly.coeffs, dtype=float)
     n = poly.degree
-    return (-1.0) ** (n * (n - 1) // 2) * resultant(p, npoly.polyder(p)) / p[-1]
+    return (-1.0) ** (n * (n - 1) // 2) * float(np.linalg.det(sylvester_matrix(p))) / p[-1]
 
 
 @dataclass(frozen=True)
@@ -346,8 +335,6 @@ def classify_parameters(spec: EquationSpec, params: WaveParams,
     parameters are a DomainError (in a batch, a row of ``failures``).  A
     batch of parameters gives a batch Classification.
     """
-    if not spec.is_local:
-        raise NonlocalUnsupported("classification requires a local equation")
     batch = params.as_batch()
     poly = potential_polynomial(spec, batch)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -21,10 +21,6 @@ class DomainError(ModwaveError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class NonlocalUnsupported(ModwaveError):
-    """Pointwise-potential operation requested for a nonlocal equation."""
-
-
 class DegenerateRoots(ModwaveError):
     """Potential polynomial has a repeated root: parameters lie on the
     discriminant variety (constants / solitary waves, no periodic orbit)."""

@@ -29,8 +29,7 @@ from .errors import DegenerateDiscriminant, DegenerateRoots, HypothesisFailed, f
 from .picard_fuchs import ParamJacobian, param_jacobian
 
 TOL_HYP = 1e-10
-TOL_IM = 1e-8
-TOL_SEP = 1e-8
+TOL_DISC = 1e-10         # mkdv_root_classifier: degenerate below this scaled discriminant
 HYPOTHESES = ("T_E", "TM_aE", "TMP_aEc")
 
 
@@ -52,11 +51,11 @@ def _index(S, D):
     return 0.5 * S ** 3 - 6.75 * D ** 2, np.sort_complex(np.linalg.eigvals(A))
 
 
-def _hypothesis_failures(J: ParamJacobian, tol_hyp: float) -> dict:
+def _hypothesis_failures(J: ParamJacobian) -> dict:
     """{row: HypothesisFailed} where T_E, {T,M}_{a,E} or {T,M,P}_{a,E,c}
     (the first in that order) vanishes to tolerance."""
     vals = np.stack([np.atleast_1d(getattr(J, name)) for name in HYPOTHESES], axis=-1)
-    small = np.abs(vals) < tol_hyp
+    small = np.abs(vals) < TOL_HYP
     first = np.argmax(small, axis=-1)
     out = {}
     flag_rows(out, small.any(axis=-1), lambda i: HypothesisFailed(
@@ -64,29 +63,29 @@ def _hypothesis_failures(J: ParamJacobian, tol_hyp: float) -> dict:
     return out
 
 
-def check_hypotheses(J: ParamJacobian, tol_hyp: float = TOL_HYP) -> dict:
+def check_hypotheses(J: ParamJacobian) -> dict:
     """Nondegeneracy flags; raises HypothesisFailed when any of T_E,
-    {T,M}_{a,E}, {T,M,P}_{a,E,c} vanishes to tolerance."""
-    failures = _hypothesis_failures(J, tol_hyp)
+    {T,M}_{a,E}, {T,M,P}_{a,E,c} is below TOL_HYP in magnitude."""
+    failures = _hypothesis_failures(J)
     if failures:
         raise failures[0]
     return {name: getattr(J, name) for name in HYPOTHESES}
 
 
-def delta_mi(J: ParamJacobian, tol_hyp: float = TOL_HYP) -> float:
-    check_hypotheses(J, tol_hyp)
+def delta_mi(J: ParamJacobian) -> float:
+    check_hypotheses(J)
     return float(_index(*_index_parts(J))[0][0])
 
 
-def effective_dispersion_roots(J: ParamJacobian, tol_hyp: float = TOL_HYP) -> np.ndarray:
+def effective_dispersion_roots(J: ParamJacobian) -> np.ndarray:
     """Roots nu_j of the depressed cubic, sorted by (Re, Im); they sum to 0."""
-    check_hypotheses(J, tol_hyp)
+    check_hypotheses(J)
     return _index(*_index_parts(J))[1][0]
 
 
-def modulation_slope_prediction(J: ParamJacobian, tol_hyp: float = TOL_HYP) -> np.ndarray:
+def modulation_slope_prediction(J: ParamJacobian) -> np.ndarray:
     """Predicted physical Bloch slopes mu_j = -T/nu_j, sorted by (Re, Im)."""
-    nus = effective_dispersion_roots(J, tol_hyp)
+    nus = effective_dispersion_roots(J)
     return np.sort_complex(-J.T / nus)
 
 
@@ -108,7 +107,7 @@ def _tol_deg(S, D):
 
 
 def classify(spec: EquationSpec, params: WaveParams, branch: int = 0,
-             tol_hyp: float = TOL_HYP, tol_quad: float = None):
+             tol_quad: float = None):
     """Full pipeline: classification -> quadrature -> Picard-Fuchs ->
     Delta_MI and the cubic roots.  Near-zero indices report as degenerate,
     upstream nondegeneracy failures as hypothesis-failed.  A batch of
@@ -118,7 +117,7 @@ def classify(spec: EquationSpec, params: WaveParams, branch: int = 0,
     diagnostics = {"convention_fingerprint": fingerprint(), "branch": branch}
     J = param_jacobian(spec, params.as_batch(), branch=branch, tol_quad=tol_quad)
     reasons = {i: f"{type(exc).__name__}: {exc}" for i, exc in J.failures.items()}
-    reasons.update({i: str(exc) for i, exc in _hypothesis_failures(J, tol_hyp).items()
+    reasons.update({i: str(exc) for i, exc in _hypothesis_failures(J).items()
                     if i not in reasons})
     S, D = _index_parts(J)
     B = len(S)
@@ -142,12 +141,11 @@ def classify(spec: EquationSpec, params: WaveParams, branch: int = 0,
                                            {}, {**diagnostics, "reason": reasons[i]}))
             continue
         reports.append(StabilityReport(d, roots[i], label, dict(zip(HYPOTHESES, flag_vals)), {
-            **diagnostics, **dict(zip(columns, vals)), "tol_hyp": tol_hyp, "slopes": slope}))
+            **diagnostics, **dict(zip(columns, vals)), "tol_hyp": TOL_HYP, "slopes": slope}))
     return reports if params.is_batch else reports[0]
 
 
-def mkdv_root_classifier(a: float, E: float, c: float, sign: int = +1,
-                         tol_disc: float = 1e-10) -> str:
+def mkdv_root_classifier(a: float, E: float, c: float, sign: int = +1) -> str:
     """Root-structure dichotomy for mKdV: the wave at (a, E, c) is
     modulationally stable iff the quartic E - V has four distinct real
     roots, unstable iff exactly two (plus a complex pair).  Returns
@@ -156,7 +154,7 @@ def mkdv_root_classifier(a: float, E: float, c: float, sign: int = +1,
     poly = potential_polynomial(spec, WaveParams(a, E, c))
     disc = discriminant(poly)
     scale = (1.0 + poly.coeff_norm) ** (2 * poly.degree - 2)
-    if abs(disc) < tol_disc * scale:
+    if abs(disc) < TOL_DISC * scale:
         return "degenerate"
     try:
         real, n_pairs = potential_roots(poly)

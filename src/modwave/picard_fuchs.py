@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equations import EquationSpec, PotentialPolynomial, WaveParams, potential_polynomial
+from .equations import (EquationSpec, PotentialPolynomial, WaveParams, potential_polynomial,
+                        sylvester_matrix)
 from .errors import IllConditioned, SingularSystem, flag_rows
 from .waves import MomentTable, zeta_moments
 
@@ -57,27 +58,21 @@ class PicardFuchsSystem:
 
 
 def build_system(poly: PotentialPolynomial, moments: MomentTable) -> PicardFuchsSystem:
-    """Assemble the (2n-1)-square system: n-1 shifted rows of P-coefficients
-    with rhs (zeta_0..zeta_{n-2}), then n shifted rows of P'-coefficients
-    with rhs (0, 2 zeta_0, ..., 2(n-1) zeta_{n-2}).  Batch tables give a
-    stack of systems."""
-    a = np.asarray(poly.coeffs, dtype=float)
+    """Assemble the (2n-1)-square system: the Sylvester matrix of (P, P'),
+    whose n-1 shifted rows of P-coefficients take rhs (zeta_0..zeta_{n-2})
+    and whose n shifted rows of P'-coefficients take rhs
+    (0, 2 zeta_0, ..., 2(n-1) zeta_{n-2}).  Batch tables give a stack of
+    systems."""
     zeta = np.asarray(moments.zeta)
     n = poly.degree
     if n < 3:
         raise ValueError("Picard-Fuchs machinery needs degree >= 3")
     if zeta.shape[-1] < n - 1:
         raise ValueError(f"need zeta_0..zeta_{n-2}")
-    N = 2 * n - 1
-    A = np.zeros(a.shape[:-1] + (N, N))
-    rhs = np.zeros(a.shape[:-1] + (N,))
-    for i in range(n - 1):
-        A[..., i, i:i + n + 1] = a
-        rhs[..., i] = zeta[..., i]
-    da = a[..., 1:] * np.arange(1, n + 1)   # (a1, 2 a2, ..., n an)
-    for i in range(n):
-        A[..., n - 1 + i, i:i + n] = da
-        rhs[..., n - 1 + i] = 0.0 if i == 0 else 2.0 * i * zeta[..., i - 1]
+    A = sylvester_matrix(poly.coeffs)
+    rhs = np.zeros(A.shape[:-1])
+    rhs[..., :n - 1] = zeta[..., :n - 1]
+    rhs[..., n:] = 2.0 * np.arange(1, n) * zeta[..., :n - 1]
     return PicardFuchsSystem(matrix=A, rhs=rhs, poly=poly, moments=moments)
 
 
@@ -87,15 +82,14 @@ def _norm(x):
     return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
 
 
-def solve_moments(system: PicardFuchsSystem, extend_to: int = None,
-                  cond_max: float = COND_MAX) -> np.ndarray:
+def solve_moments(system: PicardFuchsSystem, extend_to: int = None) -> np.ndarray:
     """LU solve (partial pivoting) for I_0..I_{2n-2}, optionally extended to
     I_{extend_to} by further integration-by-parts rows
 
         sum_j j a_j I_{j+m-1} = 2 m zeta_{m-1},   m = n, n+1, ...
 
     Raises SingularSystem on a repeated root of P, IllConditioned above
-    cond_max, and on residual failure.  A stack of systems is solved at
+    COND_MAX, and on residual failure.  A stack of systems is solved at
     once: rows failing here or earlier get nan moments and an entry in
     ``system.failures`` instead of raising."""
     batch = system.matrix.ndim == 3
@@ -109,8 +103,8 @@ def solve_moments(system: PicardFuchsSystem, extend_to: int = None,
     cond[ok] = np.linalg.cond(A[ok])
     flag_rows(failures, ok & ~np.isfinite(cond),
               lambda i: SingularSystem("Picard-Fuchs matrix is singular (repeated root)"))
-    flag_rows(failures, ok & (cond > cond_max), lambda i: IllConditioned(
-        f"condition number {cond[i]:.3e} exceeds {cond_max:.1e}"))
+    flag_rows(failures, ok & (cond > COND_MAX), lambda i: IllConditioned(
+        f"condition number {cond[i]:.3e} exceeds {COND_MAX:.1e}"))
     ok[list(failures)] = False
     rows = np.flatnonzero(ok)
     I = np.full((B, N), np.nan)

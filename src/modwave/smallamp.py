@@ -14,7 +14,10 @@ wave are governed by a 3x3 pencil (M_xi, P_xi) whose A = 0 part is
 assembled from the exact omegas; the amplitude couplings follow the
 first-order displayed blocks, with the Jordan entry carried as 2A (the
 operator relation L0 phi3 = -2A phi2), which restores the realness,
-xi-parity and A-evenness of the characteristic coefficients c_j.
+xi-parity and A-evenness of the characteristic coefficients c_j.  The
+pencil (M, P) is solved as the ordinary eigenproblem of P^{-1} M by
+numpy.linalg: P = identity_proj has determinant 1 - A^2 q^2 / 2, so it is
+invertible for the small amplitudes this expansion covers.
 """
 from __future__ import annotations
 
@@ -26,7 +29,11 @@ import numpy as np
 from .errors import DomainError, ParityViolation, ResonanceError, SymbolDomain
 
 TOL_RES = 1e-8
-H_SYM = 1e-5
+H_SYM = 1e-5                  # step of the finite-difference symbol derivatives
+STOKES_POINTS = 256           # stokes_residual collocation points per period
+ORACLE_A = (1e-2, 5e-3)       # lambda_oracle amplitudes (Richardson pair)
+ORACLE_XI = (1e-3, 5e-4)      # lambda_oracle Floquet exponents (averaged)
+TOL_CUTOFF = 1e-12            # benjamin_feir_cutoff bisection bracket width
 
 
 @dataclass(frozen=True)
@@ -35,7 +42,8 @@ class DispersionSymbol:
 
     m must accept numpy arrays.  m0 = m(0) (removable singularities are
     handled by series branches inside the callables).  When dm/d2m are not
-    supplied, central differences with Richardson extrapolation are used.
+    supplied, central differences of step H_SYM with Richardson
+    extrapolation are used.
     """
 
     name: str
@@ -43,7 +51,6 @@ class DispersionSymbol:
     m0: float = 1.0
     dm: Optional[Callable] = None
     d2m: Optional[Callable] = None
-    h_sym: float = H_SYM
 
     def __call__(self, k):
         return self.m(np.asarray(k, dtype=float))
@@ -51,7 +58,7 @@ class DispersionSymbol:
     def deriv(self, k: float) -> float:
         if self.dm is not None:
             return float(self.dm(k))
-        h = self.h_sym
+        h = H_SYM
         d1 = (self.m(k + h) - self.m(k - h)) / (2 * h)
         d2 = (self.m(k + h / 2) - self.m(k - h / 2)) / h
         return float((4 * d2 - d1) / 3)
@@ -59,7 +66,7 @@ class DispersionSymbol:
     def deriv2(self, k: float) -> float:
         if self.d2m is not None:
             return float(self.d2m(k))
-        h = self.h_sym
+        h = H_SYM
         d1 = (self.m(k + h) - 2 * self.m(k) + self.m(k - h)) / h ** 2
         d2 = (self.m(k + h / 2) - 2 * self.m(k) + self.m(k - h / 2)) / (h / 2) ** 2
         return float((4 * d2 - d1) / 3)
@@ -210,9 +217,10 @@ def stokes_expand(k: float, A: float, b: float, sym: DispersionSymbol) -> Stokes
     return StokesWave(k=k, A=A, b=b, w0=w0, c0=c0, c2=c2, h0=h0, h2=h2)
 
 
-def stokes_residual(wave: StokesWave, sym: DispersionSymbol, n: int = 256) -> float:
+def stokes_residual(wave: StokesWave, sym: DispersionSymbol) -> float:
     """L2 residual of M_k w - c w + w^2 = (1-c)^2 b on the truncation,
     applying M_k pseudospectrally; O(A^3) by construction."""
+    n = STOKES_POINTS
     z = np.arange(n) * 2.0 * np.pi / n
     w = wave.profile(z)
     wh = np.fft.fft(w) / n
@@ -272,10 +280,8 @@ def _pencil(k: float, A: float, xi: float, sym: DispersionSymbol):
 def _dj_coefficients(k: float, A: float, xi: float, sym: DispersionSymbol):
     """Roots X_j of the scaled characteristic cubic (lambda = -i xi X) and
     the real coefficients d_j (c_j = d_j xi^{3-j})."""
-    from scipy.linalg import eig      # imported here: scipy stays out of `import modwave`
-
     M, P = _pencil(k, A, xi, sym)
-    lam = eig(M, P, right=False)
+    lam = np.linalg.eigvals(np.linalg.solve(P, M))
     X = 1j * lam / xi
     d3 = float(np.linalg.det(P))
     e1 = np.sum(X)
@@ -338,15 +344,14 @@ def lambda_index(k: float, sym: DispersionSymbol):
     return lam, gamma
 
 
-def lambda_oracle(k: float, sym: DispersionSymbol,
-                  A_vals=(1e-2, 5e-3), xi_vals=(1e-3, 5e-4)) -> float:
+def lambda_oracle(k: float, sym: DispersionSymbol) -> float:
     """Second-difference estimate of the A^2-coefficient of Delta:
-    Richardson in A of (Delta(k,A,xi) - Delta(k,0,xi))/A^2, averaged over
-    the xi samples.  Carries the 2k((k(m-m0))')^2 normalization relative
-    to lambda_index; signs always agree."""
-    A1, A2 = A_vals
+    Richardson in A (over ORACLE_A) of (Delta(k,A,xi) - Delta(k,0,xi))/A^2,
+    averaged over the xi in ORACLE_XI.  Carries the 2k((k(m-m0))')^2
+    normalization relative to lambda_index; signs always agree."""
+    A1, A2 = ORACLE_A
     out = []
-    for xi in xi_vals:
+    for xi in ORACLE_XI:
         d0 = delta_discriminant(k, 0.0, xi, sym)
         D1 = (delta_discriminant(k, A1, xi, sym) - d0) / A1 ** 2
         D2 = (delta_discriminant(k, A2, xi, sym) - d0) / A2 ** 2
@@ -355,22 +360,22 @@ def lambda_oracle(k: float, sym: DispersionSymbol,
     return float(np.mean(out))
 
 
-def lambda_oracle_normalized(k: float, sym: DispersionSymbol, **kw) -> float:
+def lambda_oracle_normalized(k: float, sym: DispersionSymbol) -> float:
     """lambda_oracle divided by its 2k((k(m-m0))')^2 factor; comparable to
     lambda_index's Lambda in value, not just in sign."""
     gp = float(sym(k)) - sym.m0 + k * sym.deriv(k)
-    return lambda_oracle(k, sym, **kw) / (2.0 * k * gp ** 2)
+    return lambda_oracle(k, sym) / (2.0 * k * gp ** 2)
 
 
-def benjamin_feir_cutoff(sym: DispersionSymbol, lo: float = 0.5,
-                         hi: float = 2.0, tol: float = 1e-12):
-    """Bisection root of Gamma(k); for the Whitham symbol the unique sign
-    change near k ~ 1.146.  Returns (k_star, (lo, hi) bracket)."""
+def benjamin_feir_cutoff(sym: DispersionSymbol, lo: float = 0.5, hi: float = 2.0):
+    """Bisection root of Gamma(k), to a bracket of width TOL_CUTOFF; for the
+    Whitham symbol the unique sign change near k ~ 1.146.  Returns
+    (k_star, (lo, hi) bracket)."""
     glo = lambda_index(lo, sym)[1]
     ghi = lambda_index(hi, sym)[1]
     if glo * ghi > 0:
         raise DomainError(f"Gamma does not change sign on [{lo}, {hi}]")
-    while hi - lo > tol:
+    while hi - lo > TOL_CUTOFF:
         mid = 0.5 * (lo + hi)
         if glo * lambda_index(mid, sym)[1] <= 0:
             hi = mid

@@ -45,6 +45,12 @@ SQRT2 = np.sqrt(2.0)
 QUAD_NODES = 32                # first trapezoid level: intervals on [0, pi/2]
 QUAD_MAX_NODES = 2 ** 16
 QUAD_BUDGET = 2 ** 18          # integrand values held at once (bounds memory)
+# Chebyshev model of the profile's z(theta): first degree, doubled while the
+# relative size of the last eight coefficients is at least PROFILE_TAIL_TOL,
+# up to PROFILE_MAX_DEGREE
+PROFILE_DEGREE = 256
+PROFILE_MAX_DEGREE = 8192
+PROFILE_TAIL_TOL = 1e-13
 # sin^2 at the first level's nodes, and the fractions of the interval
 # where G must be positive
 _S2_FIRST = np.sin(np.linspace(0.0, np.pi / 2, QUAD_NODES + 1)) ** 2
@@ -168,7 +174,6 @@ def zeta_moments(spec: EquationSpec, params: WaveParams, k_max: int,
     nodes[rows] = row_nodes
     failures.update({int(rows[k]): exc for k, exc in quad_failures.items()})
     table = MomentTable(zeta=zeta, poly=poly, classification=cls,
-                        convention="sqrt2-denominator, physical zeta",
                         nodes=nodes, failures=failures)
     return table if params.is_batch else table.row(0)
 
@@ -176,15 +181,14 @@ def zeta_moments(spec: EquationSpec, params: WaveParams, k_max: int,
 @dataclass
 class MomentTable:
     """zeta moments (filled here) and singular moments I (filled by the
-    Picard-Fuchs solver).  ``convention`` records the normalization and
-    ``nodes`` the trapezoid intervals on [0, pi/2] the quadrature used.
+    Picard-Fuchs solver).  ``nodes`` are the trapezoid intervals on
+    [0, pi/2] the quadrature used.
     In a batch table zeta is (B, k_max + 1), poly and classification are
     batches, and ``failures`` maps each failed row to its error."""
 
     zeta: np.ndarray
     poly: PotentialPolynomial
     classification: Classification
-    convention: str
     I: Optional[np.ndarray] = None
     nodes: Optional[np.ndarray] = None      # an int for one wave
     failures: dict = field(default_factory=dict)
@@ -200,7 +204,7 @@ class MomentTable:
             raise self.failures[i]
         return MomentTable(zeta=self.zeta[i], poly=self.poly.row(i),
                            classification=self.classification.row(i),
-                           convention=self.convention, nodes=int(self.nodes[i]))
+                           nodes=int(self.nodes[i]))
 
 
 def quadrature_TMPH(spec: EquationSpec, params: WaveParams, branch: int = 0,
@@ -252,8 +256,7 @@ class WaveProfile:
         return self.evaluator(z)
 
 
-def _chebyshev_z_of_theta(poly: PotentialPolynomial, lo: float, hi: float,
-                          degree: int = 256, tail_tol: float = 1e-13):
+def _chebyshev_z_of_theta(poly: PotentialPolynomial, lo: float, hi: float):
     """Chebyshev model of h(theta) = sqrt(2) mu(w)/sqrt(G) and its
     antiderivative Z with Z(0) = 0, so z = Z(theta) along the half period.
     mu is the moment measure of zeta_moments: 1 in u, 2v for the Schamel
@@ -266,19 +269,18 @@ def _chebyshev_z_of_theta(poly: PotentialPolynomial, lo: float, hi: float,
         r = SQRT2 / np.sqrt(npoly.polyval(w, G))
         return 2.0 * w * r if square else r
 
-    deg = degree
+    deg = PROFILE_DEGREE
     while True:
         ch = Chebyshev.interpolate(h, deg, domain=[0.0, np.pi / 2])
         tail = np.max(np.abs(ch.coef[-8:])) / max(np.max(np.abs(ch.coef)), 1e-300)
-        if tail < tail_tol or deg >= 8192:
+        if tail < PROFILE_TAIL_TOL or deg >= PROFILE_MAX_DEGREE:
             break
         deg *= 2
     Z = ch.integ(lbnd=0.0)
     return ch, Z
 
 
-def resolve_profile(spec: EquationSpec, params: WaveParams, branch: int = 0,
-                    degree: int = 256) -> WaveProfile:
+def resolve_profile(spec: EquationSpec, params: WaveParams, branch: int = 0) -> WaveProfile:
     """Build a WaveProfile whose evaluator inverts the quadrature.
 
     For each requested z the phase is folded into [0, T/2] by periodicity
@@ -290,7 +292,7 @@ def resolve_profile(spec: EquationSpec, params: WaveParams, branch: int = 0,
         raise _NOT_PERIODIC[cls.status]()
     poly = potential_polynomial(spec, params)
     lo, hi = cls.w_minus, cls.w_plus
-    h, Z = _chebyshev_z_of_theta(poly, lo, hi, degree)
+    h, Z = _chebyshev_z_of_theta(poly, lo, hi)
     half = float(Z(np.pi / 2))
     T = 2.0 * half
     square = poly.var == "v"

@@ -157,13 +157,45 @@ def test_import_loads_no_scipy_or_multiprocessing():
         "from modwave.bloch import local_assembler, modulation_slopes; "
         "modulation_slopes(local_assembler(resolve_profile(kdv_spec(), "
         "kdv_params_from_roots(3.0, 1.0, 0.0)), N=48)); ")
-    for work in ("", local_bloch):
+    pencil = ("from modwave import delta_discriminant, whitham_symbol; "
+              "delta_discriminant(2.0, 1e-2, 1e-4, whitham_symbol()); ")
+    for work in ("", local_bloch, pencil):
         code = ("import sys, modwave, modwave.cli; " + work +
                 "print(sorted(m for m in sys.modules if m.split('.')[0] in "
                 "('scipy', 'multiprocessing')))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]", work
+
+
+# options each subcommand accepted and ignored while all five shared one option set
+UNREAD_OPTIONS = [("classify", "--modes", "128"), ("sweep", "--modes", "128"),
+                  ("smallamp", "--equation", "kdv"), ("smallamp", "--config", "CFG"),
+                  ("smallamp", "--tol-quad", "1e-12"), ("smallamp", "--modes", "128"),
+                  ("bloch-check", "--config", "CFG"), ("bloch-check", "--out", "OUT"),
+                  ("bloch-check", "--format", "csv"), ("bloch-check", "--tol-quad", "1e-13"),
+                  ("validate", "--equation", "kdv"), ("validate", "--config", "CFG"),
+                  ("validate", "--out", "OUT"), ("validate", "--format", "csv"),
+                  ("validate", "--tol-quad", "1e-12"), ("validate", "--modes", "64")]
+
+
+@pytest.mark.parametrize("command,option,value", UNREAD_OPTIONS,
+                         ids=[f"{c}{o}" for c, o, _ in UNREAD_OPTIONS])
+def test_option_the_subcommand_does_not_read_is_a_usage_error(command, option, value,
+                                                              tmp_path, capsys):
+    # each base command is valid and exits 0 on its own
+    cfg = str(_sweep_config(tmp_path, "kdv"))
+    base = {"classify": ["--equation", "kdv", "--a", "-0.5", "--E", "0.0",
+                         "--c", "-1.3333333333333333"],
+            "sweep": ["--config", cfg],
+            "smallamp": ["--symbol", "fkdv"],
+            "bloch-check": ["--equation", "bo", "--modes", "64"],
+            "validate": []}[command]
+    value = {"CFG": cfg, "OUT": str(tmp_path / "out")}.get(value, value)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *base, option, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} " in capsys.readouterr().err
 
 
 def test_smallamp_whitham_cutoff(capsys):

@@ -7,7 +7,7 @@ from modwave import (WaveParams, classify_parameters, discriminant,
                      mkdv_spec, potential_polynomial, potential_roots,
                      schamel_spec)
 from modwave.equations import EquationSpec
-from modwave.errors import DegenerateRoots, DomainError, NonlocalUnsupported
+from modwave.errors import DegenerateRoots, DomainError
 
 
 def test_effective_potential_zero():
@@ -143,12 +143,9 @@ def test_schamel_positive_interval_only():
 
 
 def test_nonlocal_rejects_pointwise_potential():
-    from modwave import whitham_symbol
-    spec = EquationSpec("nonlocal", "whitham", symbol=whitham_symbol())
-    with pytest.raises(NonlocalUnsupported):
-        effective_potential(spec, 0.0, 1.0, 0.5)
-    with pytest.raises(NonlocalUnsupported):
-        classify_parameters(spec, WaveParams(0.0, 0.1, 1.0))
+    # nonlocal dispersion is a DispersionSymbol, never an EquationSpec kind
+    with pytest.raises(DomainError):
+        EquationSpec("nonlocal", "whitham")
 
 
 def test_resultant_sign_convention():

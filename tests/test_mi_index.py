@@ -121,7 +121,7 @@ def test_scale_invariance_of_classification():
     # f = sigma u^2: doubling sigma with (a, E) -> (a/2, E/4) maps waves to
     # waves; the verdict must be identical
     rng = np.random.default_rng(50)
-    spec1 = kdv_spec(scale=0.5)
+    spec1 = kdv_spec()
     spec2 = EquationSpec("local-polynomial", "kdv-2sigma", f_coeffs=(0.0, 0.0, 1.0))
     for p in sample_kdv(rng, 6):
         lam = 0.5

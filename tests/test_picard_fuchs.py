@@ -78,8 +78,7 @@ def test_degenerate_system_is_singular():
     # potential with a repeated root: Sylvester matrix singular
     coeffs = np.asarray(np.polynomial.polynomial.polyfromroots([0.0, 1.0, 1.0]))
     poly = PotentialPolynomial(tuple(coeffs), var="u")
-    table = MomentTable(zeta=np.array([1.0, 1.0]), poly=poly,
-                        classification=None, convention="test")
+    table = MomentTable(zeta=np.array([1.0, 1.0]), poly=poly, classification=None)
     sys_ = build_system(poly, table)
     with pytest.raises((SingularSystem, IllConditioned)):
         solve_moments(sys_)
