@@ -10,15 +10,27 @@ equation's u_t = M u_x + f(u)_x form.  For a T-periodic wave the Bloch
 operator L_xi = e^{-i xi z} L e^{i xi z} acts on Fourier modes
 e^{2 pi i n z / T} through the combined frequencies theta_n = 2 pi n/T + xi;
 multiplication by f'(u0) becomes a Toeplitz block of its Fourier
-coefficients.
+coefficients.  Written as L_xi = i A_xi with
+
+    A_xi = diag(theta) (G + diag(inner(theta) + c)),
+
+the operator A_xi is real whenever the Toeplitz block G is (the symbols
+are real), i.e. whenever the coefficient's Fourier coefficients are real:
+an even coefficient, as for every unshifted wave profile (even about
+z = 0) and every closed-form wave here.  The spectrum of L_xi is then i
+times the eigenvalues of a real matrix: the eigensolve runs in real
+arithmetic and keeps the lambda -> -conj(lambda) symmetry exactly, so the
+slopes of a stable wave come out real.  A coefficient that is not even (a
+profile shifted by z0, arbitrary samples) keeps a complex G and the same
+code runs in complex arithmetic.
 
 Every assembler (local, nonlocal, Whitham, Benjamin-Ono) is the one builder
 _bloch_operator with its own coefficient samples, period and inner symbol.
 The coefficient does not depend on xi, so it is sampled, checked for
 resolution, FFT'd and turned into its Toeplitz block once per wave; each xi
-then only adds the symbol diagonal and scales the rows by i theta_n.  The
-spectrum comes from a dense QR eigensolve per xi (numpy.linalg.eigvals):
-matrices are a few hundred square at most.
+then only adds the symbol diagonal and scales the rows by theta_n.  The
+spectrum comes from a dense QR eigensolve of A_xi per xi
+(i * numpy.linalg.eigvals): matrices are a few hundred square at most.
 """
 from __future__ import annotations
 
@@ -35,17 +47,26 @@ from .waves import WaveProfile
 
 XI_LIST = (1e-2, 5e-3, 2.5e-3)   # Floquet exponents of the slope extrapolation, descending
 SAMPLES_PER_MODE = 8           # coefficient samples per Fourier mode kept
+# Fourier coefficients whose imaginary parts are at most this fraction of
+# their largest modulus are taken as real (an even coefficient function)
+REAL_COEFF_TOL = 1e-13
 
 
 @dataclass
 class BlochMatrix:
+    """L_xi = i * operator at one xi; ``operator`` is A_xi, real when the
+    coefficient is even."""
     N: int
     xi: float
     period: float
-    matrix: np.ndarray
+    operator: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return 1j * self.operator
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.matrix)
+        return 1j * np.linalg.eigvals(self.operator)
 
 
 def _toeplitz_coeffs(samples: np.ndarray, N: int, tail_tol: float = 1e-12) -> np.ndarray:
@@ -70,8 +91,11 @@ def _bloch_operator(samples: np.ndarray, N: int, period: float,
     """xi -> L_xi = e^{-i xi z} d/dz (inner + c + g) e^{i xi z} for the
     coefficient g sampled uniformly on one period; ``inner`` is the symbol
     of the linear part at the combined frequencies theta_n.  The tail
-    check, the FFT and the Toeplitz block of g are done here, once."""
+    check, the FFT and the Toeplitz block of g are done here, once; G is
+    real when the coefficients are (to REAL_COEFF_TOL)."""
     gh = _toeplitz_coeffs(samples, N)
+    if np.max(np.abs(gh.imag)) <= REAL_COEFF_TOL * np.max(np.abs(gh)):
+        gh = gh.real
     ns = np.arange(-N, N + 1)
     G = gh[(ns[:, None] - ns[None, :]) % len(gh)]
     freqs = 2.0 * np.pi * ns / period
@@ -79,10 +103,10 @@ def _bloch_operator(samples: np.ndarray, N: int, period: float,
 
     def assembler(xi: float) -> BlochMatrix:
         theta = freqs + xi
-        L = G.copy()
-        L[diag] += inner(theta) + c
-        L *= (1j * theta)[:, None]
-        return BlochMatrix(N=N, xi=xi, period=period, matrix=L)
+        A = G.copy()
+        A[diag] += inner(theta) + c
+        A *= theta[:, None]
+        return BlochMatrix(N=N, xi=xi, period=period, operator=A)
 
     return assembler
 
@@ -97,7 +121,7 @@ def local_assembler(profile: WaveProfile, N: int = 64) -> Callable[[float], Bloc
     is -theta^2 + c plus the Toeplitz block of f'(u0).  The profile is
     sampled once, whatever the number of xi."""
     if N < 32:
-        raise ValueError("N >= 32 required")
+        raise ResolutionError(f"N >= 32 required, got N = {N}")
     T = profile.period
     g = profile.spec.fprime()(profile(_period_grid(T, N)))
     return _bloch_operator(g, N, T, lambda theta: -theta ** 2, profile.params.c)

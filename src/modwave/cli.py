@@ -2,7 +2,8 @@
 
 Subcommands: classify, sweep, smallamp, bloch-check, validate.  Each
 declares only the options its handler reads (`modwave <cmd> --help`
-lists them); any other option is an argparse usage error, exit 2.
+lists them); any other option, or a sweep without --config, is an
+argparse usage error, exit 2.
 Exit codes for classify: 0 stable, 10 unstable, 20 degenerate,
 30 hypothesis-failed, 1 error.  Reports embed the resolved-convention
 fingerprint so numbers stay comparable across versions.  A sweep
@@ -355,10 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (stdout if omitted)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    def request(p):
+    def request(p, config_required=False):
         """The options of the commands that write classify reports."""
         p.add_argument("--equation", help="kdv | mkdv-focusing | mkdv-defocusing | schamel")
-        p.add_argument("--config", help="JSON analysis request")
+        p.add_argument("--config", required=config_required, help="JSON analysis request")
         output(p)
         p.add_argument("--tol-quad", dest="tol_quad", type=float, default=None)
 
@@ -371,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("sweep", help="grid sweep from a config file")
-    request(p)
+    request(p, config_required=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("smallamp", help="small-amplitude index tables")

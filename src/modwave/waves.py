@@ -257,10 +257,11 @@ class WaveProfile:
 
 
 def _chebyshev_z_of_theta(poly: PotentialPolynomial, lo: float, hi: float):
-    """Chebyshev model of h(theta) = sqrt(2) mu(w)/sqrt(G) and its
-    antiderivative Z with Z(0) = 0, so z = Z(theta) along the half period.
-    mu is the moment measure of zeta_moments: 1 in u, 2v for the Schamel
-    substitution u = v^2 (dz = 2v dv / sqrt(2 P_v))."""
+    """h(theta) = sqrt(2) mu(w)/sqrt(G(w(theta))) in closed form, and the
+    antiderivative Z with Z(0) = 0 of its Chebyshev model, so z = Z(theta)
+    along the half period.  mu is the moment measure of zeta_moments: 1 in
+    u, 2v for the Schamel substitution u = v^2 (dz = 2v dv / sqrt(2 P_v)).
+    h is the exact derivative dz/dtheta, for Newton steps on Z."""
     G = _reduced_poly(poly.coeffs, lo, hi)
     square = poly.var == "v"
 
@@ -276,8 +277,7 @@ def _chebyshev_z_of_theta(poly: PotentialPolynomial, lo: float, hi: float):
         if tail < PROFILE_TAIL_TOL or deg >= PROFILE_MAX_DEGREE:
             break
         deg *= 2
-    Z = ch.integ(lbnd=0.0)
-    return ch, Z
+    return h, ch.integ(lbnd=0.0)
 
 
 def resolve_profile(spec: EquationSpec, params: WaveParams, branch: int = 0) -> WaveProfile:
@@ -285,7 +285,9 @@ def resolve_profile(spec: EquationSpec, params: WaveParams, branch: int = 0) -> 
 
     For each requested z the phase is folded into [0, T/2] by periodicity
     and evenness, then theta solves Z(theta) = z by safeguarded Newton
-    (machine accurate; Z' = h > 0).
+    (machine accurate).  The Newton derivative is h = dz/dtheta > 0 in
+    closed form, not the derivative of the Chebyshev model: the two agree
+    to the model's accuracy, so the fixed point Z(theta) = z is the same.
     """
     cls = classify_parameters(spec, params, branch)
     if cls.status in _NOT_PERIODIC:

@@ -244,3 +244,41 @@ def test_assemble_nonlocal_raw_interface_matches_bo():
     ref = bo_assembler(params, N=32)(xi)
     scale = np.max(np.abs(ref.matrix))
     assert np.max(np.abs(raw.matrix - ref.matrix)) < 1e-12 * scale
+
+
+def _set_distance(a, b):
+    """Hausdorff distance between two spectra taken as sets."""
+    d = np.abs(a[:, None] - b[None, :])
+    return max(d.min(axis=0).max(), d.min(axis=1).max())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: local_assembler(resolve_profile(kdv_spec(), kdv_params_from_roots(3.0, 1.0, 0.0)),
+                            N=48),
+    lambda: local_assembler(resolve_profile(mkdv_spec(+1), WaveParams(0.0, 0.5, -1.0)), N=48),
+    lambda: bo_assembler(BOWaveParams(0.0, 1.0, -2.0), N=64),
+    lambda: whitham_assembler(stokes_expand(1.0, 0.1, 0.0, whitham_symbol()),
+                              whitham_symbol(), N=16)],
+    ids=["kdv", "mkdv-focusing-cn", "bo", "whitham"])
+def test_even_wave_eigensolve_runs_in_real_arithmetic(make):
+    asm = make()
+    for xi in (1e-2, 0.2):
+        bm = asm(xi)
+        assert bm.operator.dtype == np.float64
+        ref = np.linalg.eigvals(bm.matrix)           # complex QR of L_xi itself
+        assert _set_distance(bm.eigenvalues(), ref) <= 1e-10 * np.linalg.norm(bm.operator)
+
+
+def test_uneven_coefficient_keeps_complex_arithmetic():
+    # a BO profile shifted by z = 0.3 is not even: its Fourier coefficients
+    # are complex, and by translation invariance its spectrum is that of
+    # the unshifted (real) operator
+    params, N = BOWaveParams(0.0, 1.3, -2.0), 32
+    z = _grid(params.period, N)
+    for xi in (1e-2, 0.2):
+        even, shifted = (assemble_nonlocal(bo_symbol(), bo_eval(params, z + shift), params.c,
+                                           xi, N, params.period, symbol_sign=-1.0)
+                         for shift in (0.0, 0.3))
+        assert even.operator.dtype == np.float64
+        assert shifted.operator.dtype == np.complex128
+        assert _set_distance(even.eigenvalues(), shifted.eigenvalues()) < 1e-9

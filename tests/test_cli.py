@@ -84,6 +84,20 @@ def test_unknown_equation_exit1(capsys):
     assert "equation" in err
 
 
+def test_bloch_check_local_below_32_modes_is_an_error_line(capsys):
+    code, out, err = run_cli(["bloch-check", "--equation", "kdv", "--a", "-0.5", "--E", "0",
+                              "--c", "-1.3333333333333333", "--modes", "16"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ResolutionError:") and "N >= 32" in err
+
+
+def test_sweep_without_config_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --config" in capsys.readouterr().err
+
+
 def test_json_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "rep.json"
     code, _, _ = run_cli(["classify", "--equation", "kdv", "--a", "-0.5",
