@@ -25,12 +25,17 @@ profile shifted by z0, arbitrary samples) keeps a complex G and the same
 code runs in complex arithmetic.
 
 Every assembler (local, nonlocal, Whitham, Benjamin-Ono) is the one builder
-_bloch_operator with its own coefficient samples, period and inner symbol.
-The coefficient does not depend on xi, so it is sampled, checked for
-resolution, FFT'd and turned into its Toeplitz block once per wave; each xi
-then only adds the symbol diagonal and scales the rows by theta_n.  The
-spectrum comes from a dense QR eigensolve of A_xi per xi
-(i * numpy.linalg.eigvals): matrices are a few hundred square at most.
+_bloch_operator with its own Fourier coefficients, total energy, period
+and inner symbol.  The coefficient does not depend on xi, so its
+coefficients are computed, checked for resolution (the energy beyond
+|n| = N, by Parseval's identity) and turned into the Toeplitz block once
+per wave; each xi then only adds the symbol diagonal and scales the rows
+by theta_n.  A profile from resolve_profile gets the coefficients of
+f'(u0) from the theta nodes of its quadrature (waves.fprime_coefficients)
+and is never inverted; BO, Whitham, assemble_nonlocal and a hand-built
+profile are sampled on a uniform grid and FFT'd.  The spectrum comes
+from a dense QR eigensolve of A_xi per xi (i * numpy.linalg.eigvals):
+matrices are a few hundred square at most.
 """
 from __future__ import annotations
 
@@ -43,10 +48,11 @@ import numpy as np
 from .bo import BOWaveParams, bo_eval
 from .errors import BranchMixing, ResolutionError
 from .smallamp import DispersionSymbol, StokesWave
-from .waves import WaveProfile
+from .waves import WaveProfile, fprime_coefficients
 
 XI_LIST = (1e-2, 5e-3, 2.5e-3)   # Floquet exponents of the slope extrapolation, descending
 SAMPLES_PER_MODE = 8           # coefficient samples per Fourier mode kept
+TAIL_TOL = 1e-12               # largest energy fraction beyond the kept modes
 # Fourier coefficients whose imaginary parts are at most this fraction of
 # their largest modulus are taken as real (an even coefficient function)
 REAL_COEFF_TOL = 1e-13
@@ -69,35 +75,33 @@ class BlochMatrix:
         return 1j * np.linalg.eigvals(self.operator)
 
 
-def _toeplitz_coeffs(samples: np.ndarray, N: int, tail_tol: float = 1e-12) -> np.ndarray:
-    """FFT coefficients of the sampled coefficient function, with a tail
-    energy check: the modes beyond |n| = N must carry less than tail_tol
-    of the total energy for the truncation to resolve the wave."""
-    Ms = len(samples)
-    gh = np.fft.fft(samples) / Ms
-    if Ms > 2 * N + 1:
-        idx = np.fft.fftfreq(Ms, d=1.0 / Ms).astype(int)
-        tail = np.sum(np.abs(gh[np.abs(idx) > N]) ** 2)
-        total = np.sum(np.abs(gh) ** 2)
-        if total > 0 and tail > tail_tol * total:
-            raise ResolutionError(
-                f"Fourier tail energy {tail/total:.2e} above {tail_tol:.1e}; increase N")
-    return gh
+def _sampled_coeffs(samples: np.ndarray):
+    """FFT coefficients of a coefficient sampled uniformly on one period, in
+    FFT order, and its total energy, the mean square of the samples."""
+    samples = np.asarray(samples)
+    return np.fft.fft(samples) / len(samples), float(np.mean(np.abs(samples) ** 2))
 
 
-def _bloch_operator(samples: np.ndarray, N: int, period: float,
+def _bloch_operator(coeffs: np.ndarray, total: float, N: int, period: float,
                     inner: Callable[[np.ndarray], np.ndarray],
                     c: float) -> Callable[[float], BlochMatrix]:
     """xi -> L_xi = e^{-i xi z} d/dz (inner + c + g) e^{i xi z} for the
-    coefficient g sampled uniformly on one period; ``inner`` is the symbol
-    of the linear part at the combined frequencies theta_n.  The tail
-    check, the FFT and the Toeplitz block of g are done here, once; G is
-    real when the coefficients are (to REAL_COEFF_TOL)."""
-    gh = _toeplitz_coeffs(samples, N)
-    if np.max(np.abs(gh.imag)) <= REAL_COEFF_TOL * np.max(np.abs(gh)):
-        gh = gh.real
+    coefficient g with Fourier coefficients ``coeffs`` (index k at k mod
+    len) and total energy (1/T) int |g|^2 dz; ``inner`` is the symbol of
+    the linear part at the combined frequencies theta_n.  The tail test and
+    the Toeplitz block of g are done here, once: the energy beyond
+    |n| = N, total minus that of the kept modes, must be at most TAIL_TOL of
+    the total for the truncation to resolve the wave (ResolutionError
+    otherwise).  G is real when the coefficients are (to REAL_COEFF_TOL)."""
+    if len(coeffs) > 2 * N + 1:
+        tail = total - np.sum(np.abs(coeffs[np.arange(-N, N + 1)]) ** 2)
+        if tail > TAIL_TOL * total:
+            raise ResolutionError(
+                f"Fourier tail energy {tail/total:.2e} above {TAIL_TOL:.1e}; increase N")
+    if np.max(np.abs(coeffs.imag)) <= REAL_COEFF_TOL * np.max(np.abs(coeffs)):
+        coeffs = coeffs.real
     ns = np.arange(-N, N + 1)
-    G = gh[(ns[:, None] - ns[None, :]) % len(gh)]
+    G = coeffs[(ns[:, None] - ns[None, :]) % len(coeffs)]
     freqs = 2.0 * np.pi * ns / period
     diag = np.diag_indices(len(ns))
 
@@ -118,13 +122,19 @@ def _period_grid(period: float, N: int) -> np.ndarray:
 
 def local_assembler(profile: WaveProfile, N: int = 64) -> Callable[[float], BlochMatrix]:
     """xi -> L_xi for a local polynomial/power-law wave: the inner operator
-    is -theta^2 + c plus the Toeplitz block of f'(u0).  The profile is
-    sampled once, whatever the number of xi."""
+    is -theta^2 + c plus the Toeplitz block of f'(u0).  The coefficients of
+    f'(u0) are computed once, whatever the number of xi: on the theta nodes
+    for a profile from resolve_profile (fprime_coefficients; the profile is
+    never inverted), from uniform samples for a profile built by hand."""
     if N < 32:
         raise ResolutionError(f"N >= 32 required, got N = {N}")
     T = profile.period
-    g = profile.spec.fprime()(profile(_period_grid(T, N)))
-    return _bloch_operator(g, N, T, lambda theta: -theta ** 2, profile.params.c)
+    if profile.classification is None:
+        coeffs, total = _sampled_coeffs(profile.spec.fprime()(profile(_period_grid(T, N))))
+    else:
+        gk, total = fprime_coefficients(profile, 2 * N)
+        coeffs = np.concatenate([gk, np.conj(gk[:0:-1])])     # k = 0..2N, -2N..-1
+    return _bloch_operator(coeffs, total, N, T, lambda theta: -theta ** 2, profile.params.c)
 
 
 def assemble_local(profile: WaveProfile, xi: float, N: int = 64) -> BlochMatrix:
@@ -141,7 +151,7 @@ def assemble_nonlocal(sym: DispersionSymbol, wave_samples: np.ndarray,
     f'(u0) = fprime_scale * u0 (quadratic nonlinearities).  The multiplier
     is evaluated at the combined physical frequencies."""
     inner = lambda theta: symbol_sign * np.asarray(sym(theta), dtype=float)
-    return _bloch_operator(fprime_scale * np.asarray(wave_samples, dtype=float),
+    return _bloch_operator(*_sampled_coeffs(fprime_scale * np.asarray(wave_samples, dtype=float)),
                            N, period, inner, c)(xi)
 
 
@@ -151,7 +161,7 @@ def whitham_assembler(wave: StokesWave, sym: DispersionSymbol,
     2pi-periodic frame: L = d/dz(-M_k + c - 2w).  xi in [-1/2, 1/2)."""
     w = wave.profile(_period_grid(2.0 * np.pi, N))
     inner = lambda theta: -np.asarray(sym(wave.k * theta), dtype=float)
-    return _bloch_operator(-2.0 * w, N, 2.0 * np.pi, inner, wave.speed)
+    return _bloch_operator(*_sampled_coeffs(-2.0 * w), N, 2.0 * np.pi, inner, wave.speed)
 
 
 def bo_assembler(params: BOWaveParams, N: int = 128) -> Callable[[float], BlochMatrix]:
@@ -159,7 +169,8 @@ def bo_assembler(params: BOWaveParams, N: int = 128) -> Callable[[float], BlochM
     the physical frame (period 2 pi / k)."""
     T = params.period
     u = bo_eval(params, _period_grid(T, N))
-    return _bloch_operator(2.0 * u, N, T, lambda theta: -np.abs(theta), params.c)
+    return _bloch_operator(*_sampled_coeffs(2.0 * u), N, T, lambda theta: -np.abs(theta),
+                           params.c)
 
 
 def _three_nearest_zero(ev: np.ndarray) -> np.ndarray:

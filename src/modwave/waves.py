@@ -1,7 +1,8 @@
 """Wave profiles: the moments zeta_k by regularized quadrature, and
-(T, M, P, H) read off them; profile evaluation by inverting z(u); the
-explicit cnoidal/dnoidal families (Jacobi cn, dn and K) used as cross
-checks.
+(T, M, P, H) read off them; the Fourier coefficients of f'(u) on the same
+theta nodes, for the Bloch check; profile evaluation by inverting z(u),
+built only when a profile is called; the explicit cnoidal/dnoidal
+families (Jacobi cn, dn and K) used as cross checks.
 
 All loop integrals over the oscillation interval are reduced to smooth
 integrals by the substitution w = w- + (w+ - w-) sin^2(theta), which
@@ -24,9 +25,15 @@ row doubles on its own, so its result does not depend on the other rows.
 zeta_moments is the one quadrature: quadrature_TMPH takes T, M, P from its
 table and H as a dot product of the moments with the coefficients of H's
 weight, which is a polynomial in w.
+
+theta in [0, pi) also covers one period of the wave in z, with
+dz/dtheta = h(theta) in closed form, so a Fourier coefficient of any
+function of u(z) is a periodic trapezoid sum on the theta nodes as well
+(fprime_coefficients): the Bloch check needs no z -> u inversion.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -38,13 +45,17 @@ from .equations import (Classification, EquationSpec, PotentialPolynomial,
                         WaveParams, classify_parameters, polyval,
                         potential_polynomial)
 from .errors import (DegenerateRoots, DomainError, NoBoundedOrbit,
-                     QuadratureFailure, flag_rows)
+                     QuadratureFailure, ResolutionError, flag_rows)
 
 TOL_QUAD = 1e-11
 SQRT2 = np.sqrt(2.0)
 QUAD_NODES = 32                # first trapezoid level: intervals on [0, pi/2]
 QUAD_MAX_NODES = 2 ** 16
 QUAD_BUDGET = 2 ** 18          # integrand values held at once (bounds memory)
+# Fourier coefficients of f'(u) on the theta nodes: first level (intervals
+# on [0, pi/2]) and the doubling tolerance relative to max |g_k|
+THETA_NODES = 256
+THETA_TOL = 1e-13
 # Chebyshev model of the profile's z(theta): first degree, doubled while the
 # relative size of the last eight coefficients is at least PROFILE_TAIL_TOL,
 # up to PROFILE_MAX_DEGREE
@@ -232,9 +243,11 @@ def quadrature_TMPH(spec: EquationSpec, params: WaveParams, branch: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# profile evaluation: invert z(w) = int dw/sqrt(2 P) via a Chebyshev
-# antiderivative in theta and Newton iteration; avoids stiff ODE shooting
-# near the turning points.
+# resolved profiles: the period from the moment quadrature, the Fourier
+# coefficients of f'(u) straight from the theta nodes, and, only when the
+# profile is called, its inversion z(w) = int dw/sqrt(2 P) via a Chebyshev
+# antiderivative in theta and Newton iteration (no stiff ODE shooting near
+# the turning points).
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -242,6 +255,8 @@ class WaveProfile:
     """A resolved periodic traveling wave.
 
     The evaluator is even about z = 0 with u(0) = u_minus and period T.
+    ``classification`` is set by resolve_profile; a profile built by hand
+    from an evaluator has none.
     """
 
     spec: EquationSpec
@@ -256,12 +271,11 @@ class WaveProfile:
         return self.evaluator(z)
 
 
-def _chebyshev_z_of_theta(poly: PotentialPolynomial, lo: float, hi: float):
-    """h(theta) = sqrt(2) mu(w)/sqrt(G(w(theta))) in closed form, and the
-    antiderivative Z with Z(0) = 0 of its Chebyshev model, so z = Z(theta)
-    along the half period.  mu is the moment measure of zeta_moments: 1 in
-    u, 2v for the Schamel substitution u = v^2 (dz = 2v dv / sqrt(2 P_v)).
-    h is the exact derivative dz/dtheta, for Newton steps on Z."""
+def _dz_dtheta(poly: PotentialPolynomial, lo: float, hi: float):
+    """h(theta) = dz/dtheta = sqrt(2) mu(w)/sqrt(G(w(theta))) in closed form
+    along w = lo + (hi - lo) sin^2(theta).  mu is the moment measure of
+    zeta_moments: 1 in u, 2v for the Schamel substitution u = v^2
+    (dz = 2v dv / sqrt(2 P_v)).  h is even and pi-periodic."""
     G = _reduced_poly(poly.coeffs, lo, hi)
     square = poly.var == "v"
 
@@ -270,6 +284,84 @@ def _chebyshev_z_of_theta(poly: PotentialPolynomial, lo: float, hi: float):
         r = SQRT2 / np.sqrt(npoly.polyval(w, G))
         return 2.0 * w * r if square else r
 
+    return h
+
+
+def fprime_coefficients(profile: WaveProfile, k_max: int):
+    """Fourier coefficients g_k, k = 0..k_max, of g = f'(u(z)) over one
+    period, and the total energy (1/T) int |g|^2 dz, for a profile from
+    resolve_profile.  Nothing is inverted.
+
+    theta in [0, pi) covers one period, with z = Z(theta), Z' = h and u(theta)
+    in closed form.  On the nodes theta_j = j pi/(2m), Z is the spectral
+    antiderivative of h (one rfft) and T = pi * mean(h).  The integrand of
+    g_k = (1/T) int_0^pi f'(u) e^{-2 pi i k Z/T} h dtheta is pi-periodic and
+    its real part even, so g_k = (2/T) sum_trap[0, pi/2] f'(u) cos(2 pi k Z/T) h:
+    a periodic trapezoid sum, geometrically convergent like the moments'.
+    m starts at THETA_NODES and doubles (reusing the old nodes) while
+    max |g^m - g^(m/2)| or the change of the total energy against the half
+    grid exceeds THETA_TOL relative; past QUAD_MAX_NODES it raises
+    ResolutionError.  A profile translated by z0 gets g_k e^{-2 pi i k z0/T}.
+    """
+    cls, poly = profile.classification, potential_polynomial(profile.spec, profile.params)
+    lo, hi = cls.w_minus, cls.w_plus
+    h = _dz_dtheta(poly, lo, hi)
+    fprime = profile.spec.fprime()
+    square = poly.var == "v"
+    # k = B a + b: e^{i k phase} = e^{i B a phase} e^{i b phase}, so the sums
+    # for every k are one product of an (a x nodes) and a (nodes x b) matrix
+    B = int(np.ceil(np.sqrt(k_max + 1)))
+    low, high = np.arange(B), B * np.arange((k_max + B) // B)
+    block = max(1, QUAD_BUDGET // (len(low) + len(high)))     # nodes per block
+
+    def nodes(theta):
+        w = lo + (hi - lo) * np.sin(theta) ** 2
+        return h(theta), fprime(w * w if square else w)
+
+    def sums(hv, gv):
+        """(g_k, total energy, T) from h and g at theta_j, j = 0..m."""
+        m = len(hv) - 1
+        wh = hv.copy()
+        wh[[0, -1]] *= 0.5                       # trapezoid weights on [0, pi/2]
+        norm = wh.sum()                          # m * mean of h over [0, pi)
+        T = np.pi * norm / m
+        H = np.fft.rfft(np.concatenate([hv, hv[-2:0:-1]]))     # h on [0, pi)
+        H[1:m] /= 2j * np.arange(1, m)
+        # the mean gives the linear part T theta/pi; the Nyquist mode's
+        # antiderivative vanishes on the nodes
+        H[0] = H[m] = 0.0
+        Z = np.fft.irfft(H, 2 * m)[:m + 1] + (T / (2 * m)) * np.arange(m + 1)
+        phase = (2.0 * np.pi / T) * Z
+        wg = wh * gv
+        acc = np.zeros((len(high), len(low)))
+        for s in range(0, m + 1, block):
+            p = phase[s:s + block]
+            acc += ((np.exp(1j * np.outer(high, p)) * wg[s:s + block])
+                    @ np.exp(1j * np.outer(low, p)).T).real
+        return acc.ravel()[:k_max + 1] / norm, float(wg @ gv) / norm, T
+
+    m = THETA_NODES
+    hv, gv = nodes(np.arange(m + 1) * (np.pi / (2 * m)))
+    prev = sums(hv[::2], gv[::2])
+    while True:
+        gk, total, T = cur = sums(hv, gv)
+        if (np.max(np.abs(gk - prev[0])) <= THETA_TOL * np.max(np.abs(gk))
+                and abs(total - prev[1]) <= THETA_TOL * total):
+            break
+        if m >= QUAD_MAX_NODES:
+            raise ResolutionError(f"theta-node Fourier sums not converged at {m} intervals")
+        at, mid = np.arange(1, m + 1), nodes((np.arange(m) + 0.5) * (np.pi / (2 * m)))
+        hv, gv = (np.insert(old, at, new) for old, new in zip((hv, gv), mid))
+        m, prev = 2 * m, cur
+    z0 = profile.params.z0
+    return (gk * np.exp(-2j * np.pi * np.arange(k_max + 1) * z0 / T) if z0 else gk), total
+
+
+def _chebyshev_z_of_theta(h):
+    """Antiderivative Z with Z(0) = 0 of a Chebyshev model of h on
+    [0, pi/2], so z = Z(theta) along the half period.  The degree starts at
+    PROFILE_DEGREE and doubles while the last eight coefficients are at
+    least PROFILE_TAIL_TOL of the largest, up to PROFILE_MAX_DEGREE."""
     deg = PROFILE_DEGREE
     while True:
         ch = Chebyshev.interpolate(h, deg, domain=[0.0, np.pi / 2])
@@ -277,11 +369,14 @@ def _chebyshev_z_of_theta(poly: PotentialPolynomial, lo: float, hi: float):
         if tail < PROFILE_TAIL_TOL or deg >= PROFILE_MAX_DEGREE:
             break
         deg *= 2
-    return h, ch.integ(lbnd=0.0)
+    return ch.integ(lbnd=0.0)
 
 
 def resolve_profile(spec: EquationSpec, params: WaveParams, branch: int = 0) -> WaveProfile:
-    """Build a WaveProfile whose evaluator inverts the quadrature.
+    """Classify the wave and take its period T from the moment quadrature
+    (the zeta moment zeta_moments reports as T).  The returned profile's
+    evaluator inverts z(theta) when first called: the Chebyshev model of z
+    is built then and cached.
 
     For each requested z the phase is folded into [0, T/2] by periodicity
     and evenness, then theta solves Z(theta) = z by safeguarded Newton
@@ -294,12 +389,21 @@ def resolve_profile(spec: EquationSpec, params: WaveParams, branch: int = 0) -> 
         raise _NOT_PERIODIC[cls.status]()
     poly = potential_polynomial(spec, params)
     lo, hi = cls.w_minus, cls.w_plus
-    h, Z = _chebyshev_z_of_theta(poly, lo, hi)
-    half = float(Z(np.pi / 2))
-    T = 2.0 * half
     square = poly.var == "v"
+    # T = zeta at the period index; the Schamel measure 2v is 2 w^1
+    i_T = poly.tmp_indices[0]
+    vals, _, failures = _quadrature(np.asarray(poly.coeffs, dtype=float)[None],
+                                    np.array([lo]), np.array([hi]), i_T,
+                                    2.0 if square else 1.0, TOL_QUAD)
+    if failures:
+        raise failures[0]
+    T = float(vals[0, i_T])
+    half = 0.5 * T
+    h = _dz_dtheta(poly, lo, hi)
+    z_of_theta = functools.cache(lambda: _chebyshev_z_of_theta(h))
 
     def evaluator(z):
+        Z = z_of_theta()
         scalar = np.ndim(z) == 0
         z = np.atleast_1d(np.asarray(z, dtype=float)) - params.z0
         zf = np.mod(z, T)

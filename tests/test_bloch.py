@@ -167,15 +167,36 @@ def test_resolution_error_for_tiny_truncation():
         bo_assembler(BOWaveParams(0.0, 0.3, -2.0), N=32)
 
 
-def test_local_assembler_samples_profile_once(kdv, kdv_wave310):
+def test_near_solitary_wave_fails_the_tail_test():
+    # a focusing cnoidal wave close to the figure-eight homoclinic: its
+    # theta-node sums converge, but the spectrum of f'(u) reaches past N = 32
+    prof = resolve_profile(mkdv_spec(+1), WaveParams(0.0, 1e-4, -1.0))
+    with pytest.raises(ResolutionError, match="Fourier tail energy"):
+        local_assembler(prof, 32)
+
+
+def test_local_assembler_never_inverts_a_resolved_profile(kdv, kdv_wave310, monkeypatch):
+    # the coefficients come from the theta nodes, once per assembler: no
+    # evaluator call and no Chebyshev model of z(theta) on the Bloch path
+    import modwave.bloch
+    from modwave.waves import Chebyshev
     prof = resolve_profile(kdv, kdv_wave310)
-    calls = []
+    calls, coeff_calls, interpolations = [], [], []
     evaluate = prof.evaluator
     prof.evaluator = lambda z: calls.append(np.size(z)) or evaluate(z)
+    coefficients = modwave.bloch.fprime_coefficients
+    monkeypatch.setattr(modwave.bloch, "fprime_coefficients",
+                        lambda *a: coeff_calls.append(a[1]) or coefficients(*a))
+    interpolate = Chebyshev.interpolate
+    monkeypatch.setattr(Chebyshev, "interpolate",
+                        lambda *a, **kw: interpolations.append(a) or interpolate(*a, **kw))
     asm = local_assembler(prof, N=48)
     modulation_slopes(asm)
     instability_bubble_scan(asm, [0.01, 0.02, 0.03])
-    assert calls == [8 * (2 * 48 + 1)]
+    assert calls == [] and interpolations == []
+    assert coeff_calls == [2 * 48]
+    prof(0.3)                                    # the evaluator still works when called
+    assert calls == [1] and len(interpolations) == 1
 
 
 def _grid(period, N):

@@ -91,6 +91,30 @@ def test_bloch_check_local_below_32_modes_is_an_error_line(capsys):
     assert err.startswith("error: ResolutionError:") and "N >= 32" in err
 
 
+def test_bloch_check_negative_modes_is_an_error_line(capsys):
+    code, out, err = run_cli(["bloch-check", "--equation", "bo", "--modes", "-3"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --modes must be between 1 and 1024")
+
+
+@pytest.mark.parametrize("equation", ["kdv", "bo"])
+def test_bloch_check_modes_above_the_cap_is_rejected_before_any_work(equation, capsys,
+                                                                     monkeypatch):
+    # the cap is checked first: no profile, assembler or matrix is built
+    import modwave.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("bloch-check built a wave past the --modes cap")
+
+    for name in ("resolve_profile", "local_assembler", "bo_assembler"):
+        monkeypatch.setattr(cli, name, forbidden)
+    code, out, err = run_cli(["bloch-check", "--equation", equation, "--a", "-0.5",
+                              "--c", "-1.3333333333333333",
+                              "--modes", str(cli.MAX_MODES + 1)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: --modes must be between 1 and {cli.MAX_MODES}")
+
+
 def test_sweep_without_config_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--format", "csv"])

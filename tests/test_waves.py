@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
@@ -9,6 +11,7 @@ from modwave import (WaveParams, classify_parameters, cnoidal_eval,
                      mkdv_spec, param_jacobian,
                      quadrature_TMPH, resolve_profile, schamel_spec, zeta_moments)
 from modwave.errors import DomainError
+from modwave.waves import fprime_coefficients
 
 
 def test_kdv_period_matches_elliptic_oracle(kdv, kdv_wave310):
@@ -196,6 +199,29 @@ def test_dnoidal_matches_resolver():
     zs = np.linspace(0.0, prof.period, 50)
     # resolver phase: trough at z=0; dnoidal crest at z=0 -> shift by T/2
     assert np.max(np.abs(prof(zs) - dnoidal_eval(E, c, zs + prof.period / 2))) < 1e-8
+
+
+@pytest.mark.parametrize("spec, p, branch", [
+    (kdv_spec(), kdv_params_from_roots(3.0, 1.0, 0.0), 0),
+    (mkdv_spec(+1), WaveParams(0.0, 0.5, -1.0), 0),
+    (mkdv_spec(+1), WaveParams(0.0, -0.2, -1.0), 1),
+    (mkdv_spec(-1), WaveParams(0.0, 0.5, 1.0), 0),
+    (schamel_spec(), schamel_params_from_interval(0.6, 1.2, -1.0), 0),
+    (kdv_spec(), replace(kdv_params_from_roots(3.0, 1.0, 0.0), z0=0.8), 0),
+], ids=["kdv", "mkdv-focusing-cn", "mkdv-focusing-dn", "mkdv-defocusing", "schamel",
+        "kdv-z0"])
+def test_theta_node_coefficients_match_sampled_profile(spec, p, branch):
+    # the coefficients of f'(u) summed on the theta nodes equal the FFT of
+    # 8(2N + 1) samples of the inverted profile, and so does the energy
+    N = 48
+    prof = resolve_profile(spec, p, branch=branch)
+    gk, total = fprime_coefficients(prof, 2 * N)
+    Ms = 8 * (2 * N + 1)
+    g = spec.fprime()(prof(np.arange(Ms) * (prof.period / Ms)))
+    gh = np.fft.fft(g) / Ms
+    assert np.max(np.abs(gk - gh[:2 * N + 1])) <= 1e-13 * np.max(np.abs(gk))
+    assert total == pytest.approx(np.mean(g ** 2), rel=1e-13)
+    assert np.iscomplexobj(gk) == (p.z0 != 0.0)
 
 
 def test_explicit_family_domain_errors():
