@@ -30,10 +30,10 @@ and inner symbol.  The coefficient does not depend on xi, so its
 coefficients are computed, checked for resolution (the energy beyond
 |n| = N, by Parseval's identity) and turned into the Toeplitz block once
 per wave; each xi then only adds the symbol diagonal and scales the rows
-by theta_n.  A profile from resolve_profile gets the coefficients of
-f'(u0) from the theta nodes of its quadrature (waves.fprime_coefficients)
-and is never inverted; BO, Whitham, assemble_nonlocal and a hand-built
-profile are sampled on a uniform grid and FFT'd.  The spectrum comes
+by theta_n.  A local wave (a profile from resolve_profile) gets the
+coefficients of f'(u0) from the theta nodes of its quadrature
+(waves.fourier_coefficients) and is never evaluated; BO, Whitham and
+assemble_nonlocal are sampled on a uniform grid and FFT'd.  The spectrum comes
 from a dense QR eigensolve of A_xi per xi (i * numpy.linalg.eigvals):
 matrices are a few hundred square at most.
 """
@@ -48,7 +48,7 @@ import numpy as np
 from .bo import BOWaveParams, bo_eval
 from .errors import BranchMixing, ResolutionError
 from .smallamp import DispersionSymbol, StokesWave
-from .waves import WaveProfile, fprime_coefficients
+from .waves import WaveProfile, fourier_coefficients
 
 XI_LIST = (1e-2, 5e-3, 2.5e-3)   # Floquet exponents of the slope extrapolation, descending
 SAMPLES_PER_MODE = 8           # coefficient samples per Fourier mode kept
@@ -121,20 +121,17 @@ def _period_grid(period: float, N: int) -> np.ndarray:
 
 
 def local_assembler(profile: WaveProfile, N: int = 64) -> Callable[[float], BlochMatrix]:
-    """xi -> L_xi for a local polynomial/power-law wave: the inner operator
-    is -theta^2 + c plus the Toeplitz block of f'(u0).  The coefficients of
-    f'(u0) are computed once, whatever the number of xi: on the theta nodes
-    for a profile from resolve_profile (fprime_coefficients; the profile is
-    never inverted), from uniform samples for a profile built by hand."""
+    """xi -> L_xi for a local polynomial/power-law wave from
+    resolve_profile: the inner operator is -theta^2 + c plus the Toeplitz
+    block of f'(u0).  The coefficients of f'(u0) are summed on the theta
+    nodes once, whatever the number of xi (fourier_coefficients; the
+    profile is never evaluated)."""
     if N < 32:
         raise ResolutionError(f"N >= 32 required, got N = {N}")
-    T = profile.period
-    if profile.classification is None:
-        coeffs, total = _sampled_coeffs(profile.spec.fprime()(profile(_period_grid(T, N))))
-    else:
-        gk, total = fprime_coefficients(profile, 2 * N)
-        coeffs = np.concatenate([gk, np.conj(gk[:0:-1])])     # k = 0..2N, -2N..-1
-    return _bloch_operator(coeffs, total, N, T, lambda theta: -theta ** 2, profile.params.c)
+    gk, total = fourier_coefficients(profile, profile.spec.fprime(), 2 * N)
+    coeffs = np.concatenate([gk, np.conj(gk[:0:-1])])     # k = 0..2N, -2N..-1
+    return _bloch_operator(coeffs, total, N, profile.period, lambda theta: -theta ** 2,
+                           profile.params.c)
 
 
 def assemble_local(profile: WaveProfile, xi: float, N: int = 64) -> BlochMatrix:

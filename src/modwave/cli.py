@@ -63,7 +63,7 @@ def equation_from_name(name: str) -> EquationSpec:
         "mkdv-defocusing": lambda: mkdv_spec(-1),
         "schamel": schamel_spec,
     }
-    if name not in table:
+    if not isinstance(name, str) or name not in table:
         raise ConfigError(f"unknown equation {name!r}", field="equation")
     return table[name]()
 
@@ -123,7 +123,7 @@ def _emit_reports(args, name: str, branch: int, points: list, reports: list,
                  "delta_mi": rep.delta_mi,
                  "mu_roots": [[m.real, m.imag] for m in rep.mu_roots.tolist()],
                  "hypothesis_flags": rep.hypothesis_flags,
-                 "diagnostics": {k: v for k, v in rep.diagnostics.items() if k != "slopes"},
+                 "diagnostics": rep.diagnostics,
                  "timing_s": dt, "version": __version__, "convention_fingerprint": fp}
                 for (a, E, c), rep, dt in zip(points, reports, timings)]
         return recs if len(recs) != 1 else recs[0]
@@ -134,12 +134,31 @@ def _emit_reports(args, name: str, branch: int, points: list, reports: list,
 def _load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}: {exc.msg}",
                           field="config")
     except OSError as exc:
         raise ConfigError(str(exc), field="config")
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object", field="config")
+    return cfg
+
+
+def _section(cfg: dict, field: str) -> dict:
+    """The object cfg[field] ({} when absent)."""
+    val = cfg.get(field, {})
+    if not isinstance(val, dict):
+        raise ConfigError(f"field {field!r} must be an object", field=field)
+    return val
+
+
+def _branch(params: dict) -> int:
+    val = params.get("branch", 0)
+    if isinstance(val, bool) or not (isinstance(val, int)
+                                     or isinstance(val, float) and val.is_integer()):
+        raise ConfigError(f"branch must be an integer, got {val!r}", field="branch")
+    return int(val)
 
 
 def _require_number(cfg: dict, field: str):
@@ -151,14 +170,14 @@ def _require_number(cfg: dict, field: str):
 
 def cmd_classify(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
-    name = args.equation or cfg.get("equation", {}).get("name")
+    name = args.equation or _section(cfg, "equation").get("name")
     if not name:
         raise ConfigError("equation not specified", field="equation")
-    p = cfg.get("parameters", {})
+    p = _section(cfg, "parameters")
     a = args.a if args.a is not None else _require_number(p, "a")
     E = args.E if args.E is not None else _require_number(p, "E")
     c = args.c if args.c is not None else _require_number(p, "c")
-    branch = args.branch if args.branch is not None else int(p.get("branch", 0))
+    branch = args.branch if args.branch is not None else _branch(p)
     for field, val in (("a", a), ("E", E), ("c", c)):
         if not np.isfinite(val):
             raise ConfigError(f"non-finite parameter {field} = {val!r}", field=field)
@@ -171,9 +190,10 @@ def cmd_classify(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    name = args.equation or cfg.get("equation", {}).get("name")
+    name = args.equation or _section(cfg, "equation").get("name")
     if not name:
         raise ConfigError("equation not specified", field="equation")
+    p = _section(cfg, "parameters")
     grid_cfg = cfg.get("grid")
     if not isinstance(grid_cfg, dict) or not grid_cfg:
         raise ConfigError("sweep needs a non-empty 'grid' object", field="grid")
@@ -188,8 +208,8 @@ def cmd_sweep(args) -> int:
                                   field=f"grid.{key}")
             axes.append((key, np.linspace(spec_g[0], spec_g[1], int(spec_g[2]))))
         else:
-            axes.append((key, np.array([_require_number(cfg.get("parameters", {}), key)])))
-    branch = int(cfg.get("parameters", {}).get("branch", 0))
+            axes.append((key, np.array([_require_number(p, key)])))
+    branch = _branch(p)
     spec = equation_from_name(name)
     grid = [g.ravel() for g in np.meshgrid(*(ax for _, ax in axes), indexing="ij")]
     reports, timings = [], []

@@ -125,8 +125,6 @@ def classify(spec: EquationSpec, params: WaveParams, branch: int = 0,
     ok[list(reasons)] = False
     delta, roots = np.full(B, np.nan), np.full((B, 3), np.nan, complex)
     delta[ok], roots[ok] = _index(S[ok], D[ok])
-    slopes = np.full((B, 3), np.nan, complex)
-    slopes[ok] = -J.T[ok, None] / roots[ok]
     tol = _tol_deg(S, D)
     labels = np.where(delta > tol, "stable", np.where(delta < -tol, "unstable", "degenerate"))
     columns = {"T": J.T, "M": J.M, "P": J.P, "S": S, "D": D, "pf_condition": J.cond,
@@ -134,14 +132,14 @@ def classify(spec: EquationSpec, params: WaveParams, branch: int = 0,
     values = zip(*(col.tolist() for col in columns.values()))
     flags = zip(*(getattr(J, name).tolist() for name in HYPOTHESES))
     reports = []
-    for i, (vals, flag_vals, d, label, slope) in enumerate(
-            zip(values, flags, delta.tolist(), labels.tolist(), slopes.tolist())):
+    for i, (vals, flag_vals, d, label) in enumerate(
+            zip(values, flags, delta.tolist(), labels.tolist())):
         if i in reasons:
             reports.append(StabilityReport(np.nan, np.full(3, np.nan, complex), "hypothesis-failed",
                                            {}, {**diagnostics, "reason": reasons[i]}))
             continue
         reports.append(StabilityReport(d, roots[i], label, dict(zip(HYPOTHESES, flag_vals)), {
-            **diagnostics, **dict(zip(columns, vals)), "tol_hyp": TOL_HYP, "slopes": slope}))
+            **diagnostics, **dict(zip(columns, vals)), "tol_hyp": TOL_HYP}))
     return reports if params.is_batch else reports[0]
 
 

@@ -1,8 +1,8 @@
 """Wave profiles: the moments zeta_k by regularized quadrature, and
-(T, M, P, H) read off them; the Fourier coefficients of f'(u) on the same
-theta nodes, for the Bloch check; profile evaluation by inverting z(u),
-built only when a profile is called; the explicit cnoidal/dnoidal
-families (Jacobi cn, dn and K) used as cross checks.
+(T, M, P, H) read off them; the Fourier coefficients of any function of
+u(z) on the same theta nodes, which give both the Bloch check's f'(u) and
+the profile's own cosine series; the explicit cnoidal/dnoidal families
+(Jacobi cn, dn and K) used as cross checks.
 
 All loop integrals over the oscillation interval are reduced to smooth
 integrals by the substitution w = w- + (w+ - w-) sin^2(theta), which
@@ -29,17 +29,17 @@ weight, which is a polynomial in w.
 theta in [0, pi) also covers one period of the wave in z, with
 dz/dtheta = h(theta) in closed form, so a Fourier coefficient of any
 function of u(z) is a periodic trapezoid sum on the theta nodes as well
-(fprime_coefficients): the Bloch check needs no z -> u inversion.
+(fourier_coefficients).  A resolved wave is that one representation:
+the Bloch check sums f'(u), and the profile evaluator is the Fourier
+series of u itself, so nothing inverts z(u).
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from numpy.polynomial.chebyshev import Chebyshev
 
 from .equations import (Classification, EquationSpec, PotentialPolynomial,
                         WaveParams, classify_parameters, polyval,
@@ -52,16 +52,10 @@ SQRT2 = np.sqrt(2.0)
 QUAD_NODES = 32                # first trapezoid level: intervals on [0, pi/2]
 QUAD_MAX_NODES = 2 ** 16
 QUAD_BUDGET = 2 ** 18          # integrand values held at once (bounds memory)
-# Fourier coefficients of f'(u) on the theta nodes: first level (intervals
-# on [0, pi/2]) and the doubling tolerance relative to max |g_k|
+# Fourier coefficients on the theta nodes: first level (intervals on
+# [0, pi/2]) and the doubling tolerance relative to max |g_k|
 THETA_NODES = 256
 THETA_TOL = 1e-13
-# Chebyshev model of the profile's z(theta): first degree, doubled while the
-# relative size of the last eight coefficients is at least PROFILE_TAIL_TOL,
-# up to PROFILE_MAX_DEGREE
-PROFILE_DEGREE = 256
-PROFILE_MAX_DEGREE = 8192
-PROFILE_TAIL_TOL = 1e-13
 # sin^2 at the first level's nodes, and the fractions of the interval
 # where G must be positive
 _S2_FIRST = np.sin(np.linspace(0.0, np.pi / 2, QUAD_NODES + 1)) ** 2
@@ -243,20 +237,19 @@ def quadrature_TMPH(spec: EquationSpec, params: WaveParams, branch: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# resolved profiles: the period from the moment quadrature, the Fourier
-# coefficients of f'(u) straight from the theta nodes, and, only when the
-# profile is called, its inversion z(w) = int dw/sqrt(2 P) via a Chebyshev
-# antiderivative in theta and Newton iteration (no stiff ODE shooting near
-# the turning points).
+# resolved profiles: the period from the moment quadrature, and the Fourier
+# coefficients of f'(u) (for the Bloch check) or of u (for the evaluator)
+# straight from the theta nodes; z(u) is never inverted.
 # ---------------------------------------------------------------------------
 
 @dataclass
 class WaveProfile:
-    """A resolved periodic traveling wave.
+    """A resolved periodic traveling wave, as resolve_profile returns it.
 
-    The evaluator is even about z = 0 with u(0) = u_minus and period T.
-    ``classification`` is set by resolve_profile; a profile built by hand
-    from an evaluator has none.
+    The evaluator is even about z - z0 = 0 with u(z0) = u_minus and period
+    T; it is a plain attribute, so a caller may wrap it.  The theta-node
+    sums (fourier_coefficients) read ``classification``, never the
+    evaluator.
     """
 
     spec: EquationSpec
@@ -265,7 +258,7 @@ class WaveProfile:
     u_plus: float
     period: float
     evaluator: Callable[[np.ndarray], np.ndarray]
-    classification: Classification = None
+    classification: Classification
 
     def __call__(self, z):
         return self.evaluator(z)
@@ -287,16 +280,17 @@ def _dz_dtheta(poly: PotentialPolynomial, lo: float, hi: float):
     return h
 
 
-def fprime_coefficients(profile: WaveProfile, k_max: int):
-    """Fourier coefficients g_k, k = 0..k_max, of g = f'(u(z)) over one
+def fourier_coefficients(profile: WaveProfile, fn: Callable[[np.ndarray], np.ndarray],
+                         k_max: int):
+    """Fourier coefficients g_k, k = 0..k_max, of g = fn(u(z)) over one
     period, and the total energy (1/T) int |g|^2 dz, for a profile from
     resolve_profile.  Nothing is inverted.
 
     theta in [0, pi) covers one period, with z = Z(theta), Z' = h and u(theta)
     in closed form.  On the nodes theta_j = j pi/(2m), Z is the spectral
     antiderivative of h (one rfft) and T = pi * mean(h).  The integrand of
-    g_k = (1/T) int_0^pi f'(u) e^{-2 pi i k Z/T} h dtheta is pi-periodic and
-    its real part even, so g_k = (2/T) sum_trap[0, pi/2] f'(u) cos(2 pi k Z/T) h:
+    g_k = (1/T) int_0^pi fn(u) e^{-2 pi i k Z/T} h dtheta is pi-periodic and
+    its real part even, so g_k = (2/T) sum_trap[0, pi/2] fn(u) cos(2 pi k Z/T) h:
     a periodic trapezoid sum, geometrically convergent like the moments'.
     m starts at THETA_NODES and doubles (reusing the old nodes) while
     max |g^m - g^(m/2)| or the change of the total energy against the half
@@ -306,7 +300,6 @@ def fprime_coefficients(profile: WaveProfile, k_max: int):
     cls, poly = profile.classification, potential_polynomial(profile.spec, profile.params)
     lo, hi = cls.w_minus, cls.w_plus
     h = _dz_dtheta(poly, lo, hi)
-    fprime = profile.spec.fprime()
     square = poly.var == "v"
     # k = B a + b: e^{i k phase} = e^{i B a phase} e^{i b phase}, so the sums
     # for every k are one product of an (a x nodes) and a (nodes x b) matrix
@@ -316,7 +309,7 @@ def fprime_coefficients(profile: WaveProfile, k_max: int):
 
     def nodes(theta):
         w = lo + (hi - lo) * np.sin(theta) ** 2
-        return h(theta), fprime(w * w if square else w)
+        return h(theta), fn(w * w if square else w)
 
     def sums(hv, gv):
         """(g_k, total energy, T) from h and g at theta_j, j = 0..m."""
@@ -357,71 +350,59 @@ def fprime_coefficients(profile: WaveProfile, k_max: int):
     return (gk * np.exp(-2j * np.pi * np.arange(k_max + 1) * z0 / T) if z0 else gk), total
 
 
-def _chebyshev_z_of_theta(h):
-    """Antiderivative Z with Z(0) = 0 of a Chebyshev model of h on
-    [0, pi/2], so z = Z(theta) along the half period.  The degree starts at
-    PROFILE_DEGREE and doubles while the last eight coefficients are at
-    least PROFILE_TAIL_TOL of the largest, up to PROFILE_MAX_DEGREE."""
-    deg = PROFILE_DEGREE
-    while True:
-        ch = Chebyshev.interpolate(h, deg, domain=[0.0, np.pi / 2])
-        tail = np.max(np.abs(ch.coef[-8:])) / max(np.max(np.abs(ch.coef)), 1e-300)
-        if tail < PROFILE_TAIL_TOL or deg >= PROFILE_MAX_DEGREE:
-            break
-        deg *= 2
-    return ch.integ(lbnd=0.0)
-
-
 def resolve_profile(spec: EquationSpec, params: WaveParams, branch: int = 0) -> WaveProfile:
     """Classify the wave and take its period T from the moment quadrature
     (the zeta moment zeta_moments reports as T).  The returned profile's
-    evaluator inverts z(theta) when first called: the Chebyshev model of z
-    is built then and cached.
+    evaluator is the Fourier series of u itself,
 
-    For each requested z the phase is folded into [0, T/2] by periodicity
-    and evenness, then theta solves Z(theta) = z by safeguarded Newton
-    (machine accurate).  The Newton derivative is h = dz/dtheta > 0 in
-    closed form, not the derivative of the Chebyshev model: the two agree
-    to the model's accuracy, so the fixed point Z(theta) = z is the same.
+        u(z) = Re(2 sum_{k=0}^{K} u_k e^{2 pi i k z/T} - u_0),
+
+    with u_k = fourier_coefficients(profile, identity, K) summed on the
+    theta nodes when the evaluator is first called, and cached.  K starts
+    at QUAD_NODES and doubles while the top half of the kept modes holds a
+    |u_k| above THETA_TOL * max |u_k|; past QUAD_MAX_NODES it raises
+    ResolutionError.  The series is summed by Horner's rule in
+    e^{2 pi i z/T}, one pass over the points per mode.
     """
     cls = classify_parameters(spec, params, branch)
     if cls.status in _NOT_PERIODIC:
         raise _NOT_PERIODIC[cls.status]()
     poly = potential_polynomial(spec, params)
-    lo, hi = cls.w_minus, cls.w_plus
     square = poly.var == "v"
     # T = zeta at the period index; the Schamel measure 2v is 2 w^1
     i_T = poly.tmp_indices[0]
     vals, _, failures = _quadrature(np.asarray(poly.coeffs, dtype=float)[None],
-                                    np.array([lo]), np.array([hi]), i_T,
+                                    np.array([cls.w_minus]), np.array([cls.w_plus]), i_T,
                                     2.0 if square else 1.0, TOL_QUAD)
     if failures:
         raise failures[0]
     T = float(vals[0, i_T])
-    half = 0.5 * T
-    h = _dz_dtheta(poly, lo, hi)
-    z_of_theta = functools.cache(lambda: _chebyshev_z_of_theta(h))
+    series = []
+
+    def u_series():
+        K = QUAD_NODES
+        while True:
+            uk = fourier_coefficients(profile, lambda u: u, K)[0]
+            size = np.abs(uk)
+            if np.max(size[K // 2:]) <= THETA_TOL * np.max(size):
+                return uk
+            if K >= QUAD_MAX_NODES:
+                raise ResolutionError(f"profile Fourier series not converged at {K} modes")
+            K *= 2
 
     def evaluator(z):
-        Z = z_of_theta()
+        if not series:
+            series.append(u_series())
+        uk = series[0]
         scalar = np.ndim(z) == 0
-        z = np.atleast_1d(np.asarray(z, dtype=float)) - params.z0
-        zf = np.mod(z, T)
-        zf = np.where(zf > half, T - zf, zf)
-        theta = np.pi / 2 * zf / half            # monotone initial guess
-        for _ in range(60):
-            r = Z(theta) - zf
-            step = r / h(theta)
-            theta = np.clip(theta - step, 0.0, np.pi / 2)
-            if np.max(np.abs(r)) < 1e-14 * max(half, 1.0):
-                break
-        w = lo + (hi - lo) * np.sin(theta) ** 2
-        u = w * w if square else w
+        x = np.exp((2j * np.pi / T) * np.mod(np.atleast_1d(np.asarray(z, dtype=float)), T))
+        u = 2.0 * npoly.polyval(x, uk).real - uk[0].real
         return float(u[0]) if scalar else u
 
-    return WaveProfile(spec=spec, params=params, u_minus=cls.u_minus,
-                       u_plus=cls.u_plus, period=T, evaluator=evaluator,
-                       classification=cls)
+    profile = WaveProfile(spec=spec, params=params, u_minus=cls.u_minus,
+                          u_plus=cls.u_plus, period=T, evaluator=evaluator,
+                          classification=cls)
+    return profile
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modwave import (BOWaveParams, WaveParams, bo_eval, bo_modulation_speeds,
-                     bo_symbol, kdv_params_from_roots, kdv_spec, mkdv_spec,
+                     bo_symbol, fkdv_symbol, kdv_params_from_roots, kdv_spec, mkdv_spec,
                      modulation_slope_prediction, param_jacobian, resolve_profile,
                      stokes_expand, whitham_symbol)
 from modwave.bloch import (assemble_local, assemble_nonlocal, bo_assembler,
@@ -10,22 +10,20 @@ from modwave.bloch import (assemble_local, assemble_nonlocal, bo_assembler,
                            match_slope_sets, modulation_slopes, whitham_assembler)
 from modwave.errors import ResolutionError
 from modwave.smallamp import omega
-from modwave.waves import WaveProfile
 
 
-def _constant_profile(spec, c, u0, T):
-    ev = lambda z: np.full_like(np.atleast_1d(np.asarray(z, float)), u0)
-    return WaveProfile(spec=spec, params=WaveParams(0.0, 0.0, c),
-                       u_minus=u0, u_plus=u0, period=T, evaluator=ev)
+def _kdv_operator(samples, c, xi, N, T):
+    """L_xi = d/dz(d^2/dz^2 + c + u0) of KdV (f' = u) on uniform samples of
+    u0: the fKdV symbol |theta|^2 with sign -1 is the local -theta^2."""
+    return assemble_nonlocal(fkdv_symbol(2.0), samples, c, xi, N, T,
+                             fprime_scale=1.0, symbol_sign=-1.0)
 
 
 def test_constant_state_dispersion_relation():
     # eigenvalues i[theta (c + f'(u0)) - theta^3] exactly
-    spec = kdv_spec()
     u0, c, T, N = 0.7, -0.4, 5.0, 32
-    prof = _constant_profile(spec, c, u0, T)
     xi = 0.17
-    ev = np.sort(assemble_local(prof, xi, N).eigenvalues().imag)
+    ev = np.sort(_kdv_operator(np.full_like(_grid(T, N), u0), c, xi, N, T).eigenvalues().imag)
     th = 2 * np.pi * np.arange(-N, N + 1) / T + xi
     expect = np.sort(th * (c + u0) - th ** 3)        # f = u^2/2: f' = u
     assert np.max(np.abs(ev - expect)) < 1e-10 * np.max(np.abs(expect))
@@ -152,18 +150,13 @@ def test_truncation_convergence(kdv, kdv_wave310):
 
 
 def test_resolution_error_for_tiny_truncation():
-    # synthetic profile with slowly decaying Fourier tail trips the guard
-    spec = kdv_spec()
-    T = 5.0
-    ev = lambda z: 1.0 / (1.0001 - np.cos(2 * np.pi * np.atleast_1d(np.asarray(z, float)) / T))
-    prof = WaveProfile(spec=spec, params=WaveParams(0.0, 0.0, -1.0),
-                       u_minus=0.0, u_plus=1.0, period=T, evaluator=ev)
+    # a synthetic coefficient with a slowly decaying Fourier tail trips the guard
+    T, N = 5.0, 32
+    samples = 1.0 / (1.0001 - np.cos(2 * np.pi * _grid(T, N) / T))
+    with pytest.raises(ResolutionError, match="Fourier tail energy"):
+        _kdv_operator(samples, -1.0, 0.0, N, T)
+    # an assembler checks when it is built, before any xi: long BO wave, k = 0.3
     with pytest.raises(ResolutionError):
-        assemble_local(prof, 0.0, 32)
-    # the check runs when the operator is built, before any xi
-    with pytest.raises(ResolutionError):
-        local_assembler(prof, 32)
-    with pytest.raises(ResolutionError):                 # long BO wave, k = 0.3
         bo_assembler(BOWaveParams(0.0, 0.3, -2.0), N=32)
 
 
@@ -176,27 +169,29 @@ def test_near_solitary_wave_fails_the_tail_test():
 
 
 def test_local_assembler_never_inverts_a_resolved_profile(kdv, kdv_wave310, monkeypatch):
-    # the coefficients come from the theta nodes, once per assembler: no
-    # evaluator call and no Chebyshev model of z(theta) on the Bloch path
+    # the coefficients of f'(u) come from the theta nodes, once per
+    # assembler, and the profile's evaluator is never called on the Bloch
+    # path; the evaluator sums its own series of u when first called and
+    # keeps it
     import modwave.bloch
-    from modwave.waves import Chebyshev
+    import modwave.waves
     prof = resolve_profile(kdv, kdv_wave310)
-    calls, coeff_calls, interpolations = [], [], []
+    calls, bloch_sums, series_sums = [], [], []
     evaluate = prof.evaluator
     prof.evaluator = lambda z: calls.append(np.size(z)) or evaluate(z)
-    coefficients = modwave.bloch.fprime_coefficients
-    monkeypatch.setattr(modwave.bloch, "fprime_coefficients",
-                        lambda *a: coeff_calls.append(a[1]) or coefficients(*a))
-    interpolate = Chebyshev.interpolate
-    monkeypatch.setattr(Chebyshev, "interpolate",
-                        lambda *a, **kw: interpolations.append(a) or interpolate(*a, **kw))
+    for module, log in ((modwave.bloch, bloch_sums), (modwave.waves, series_sums)):
+        coefficients = module.fourier_coefficients
+        monkeypatch.setattr(module, "fourier_coefficients",
+                            lambda *a, log=log, f=coefficients: log.append(a[2]) or f(*a))
     asm = local_assembler(prof, N=48)
     modulation_slopes(asm)
     instability_bubble_scan(asm, [0.01, 0.02, 0.03])
-    assert calls == [] and interpolations == []
-    assert coeff_calls == [2 * 48]
-    prof(0.3)                                    # the evaluator still works when called
-    assert calls == [1] and len(interpolations) == 1
+    assert calls == [] and series_sums == []
+    assert bloch_sums == [2 * 48]
+    first = prof(0.3)                            # the evaluator still works when called
+    assert calls == [1] and series_sums
+    built = len(series_sums)
+    assert prof(0.3) == first and len(series_sums) == built
 
 
 def _grid(period, N):

@@ -57,6 +57,28 @@ def test_malformed_config_exit1(tmp_path, capsys):
     assert "a" in err            # field name in the diagnostic
 
 
+@pytest.mark.parametrize("command", ["classify", "sweep"])
+@pytest.mark.parametrize("config, field", [
+    ([1, 2], "config"),
+    ({"equation": "kdv", "grid": {"a": [-0.6, -0.4, 3]},
+      "parameters": {"a": -0.5, "E": 0.0, "c": -1.5}}, "equation"),
+    ({"equation": {"name": ["kdv"]}, "grid": {"a": [-0.6, -0.4, 3]},
+      "parameters": {"a": -0.5, "E": 0.0, "c": -1.5}}, "equation"),
+    ({"equation": {"name": "kdv"}, "grid": {"a": [-0.6, -0.4, 3]},
+      "parameters": [-0.5, 0.0, -1.5]}, "parameters"),
+    ({"equation": {"name": "kdv"}, "grid": {"a": [-0.6, -0.4, 3]},
+      "parameters": {"a": -0.5, "E": 0.0, "c": -1.5, "branch": "x"}}, "branch"),
+], ids=["top-level-array", "equation-string", "name-array", "parameters-array",
+        "branch-string"])
+def test_config_of_the_wrong_shape_is_an_error_line(command, config, field, tmp_path,
+                                                    capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and f"(field: {field})" in err
+
+
 @pytest.mark.parametrize("grid", [{"a": [-0.6, "x", 3]}, {"a": [-0.6, 0.6, "3"]}],
                          ids=["lo-hi-string", "count-string"])
 def test_sweep_non_numeric_grid_entry_is_an_error_line(grid, tmp_path, capsys):

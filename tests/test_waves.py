@@ -11,7 +11,7 @@ from modwave import (WaveParams, classify_parameters, cnoidal_eval,
                      mkdv_spec, param_jacobian,
                      quadrature_TMPH, resolve_profile, schamel_spec, zeta_moments)
 from modwave.errors import DomainError
-from modwave.waves import fprime_coefficients
+from modwave.waves import fourier_coefficients
 
 
 def test_kdv_period_matches_elliptic_oracle(kdv, kdv_wave310):
@@ -203,6 +203,32 @@ def test_dnoidal_matches_resolver():
 
 @pytest.mark.parametrize("spec, p, branch", [
     (kdv_spec(), kdv_params_from_roots(3.0, 1.0, 0.0), 0),
+    (kdv_spec(), kdv_params_from_roots(3.0, 1e-6, 0.0), 0),
+    (mkdv_spec(+1), WaveParams(0.0, 0.5, -1.0), 0),
+    (mkdv_spec(+1), WaveParams(0.0, -0.2, -1.0), 1),
+    (mkdv_spec(-1), WaveParams(0.0, 0.5, 1.0), 0),
+    (schamel_spec(), schamel_params_from_interval(0.6, 1.2, -1.0), 0),
+    (mkdv_spec(+1), WaveParams(0.0, 0.01, -1.0), 0),
+], ids=["kdv", "kdv-near-solitary", "mkdv-focusing-cn", "mkdv-focusing-dn",
+        "mkdv-defocusing", "schamel", "mkdv-focusing-sharp"])
+def test_profile_solves_the_profile_ode(spec, p, branch):
+    # (1/2) u_z^2 = E - V(u) on 4096 points of one period, u_z by the
+    # 4th-order central difference on that periodic grid (truncation error
+    # below 2e-9 of max(E - V) on all of these waves).  The sharp focusing
+    # wave has dz/dtheta peaking at 35 against 2 at the turning points.
+    prof = resolve_profile(spec, p, branch=branch)
+    n = 4096
+    h = prof.period / n
+    u = prof(np.arange(n) * h)
+    u_z = (np.roll(u, 2) - 8 * np.roll(u, 1) + 8 * np.roll(u, -1) - np.roll(u, -2)) / (12 * h)
+    rhs = p.E - effective_potential(spec, p.a, p.c, u)
+    assert np.max(np.abs(0.5 * u_z ** 2 - rhs)) < 1e-8 * np.max(rhs)
+    assert u.min() == pytest.approx(prof.u_minus, abs=1e-12)
+    assert u.max() == pytest.approx(prof.u_plus, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec, p, branch", [
+    (kdv_spec(), kdv_params_from_roots(3.0, 1.0, 0.0), 0),
     (mkdv_spec(+1), WaveParams(0.0, 0.5, -1.0), 0),
     (mkdv_spec(+1), WaveParams(0.0, -0.2, -1.0), 1),
     (mkdv_spec(-1), WaveParams(0.0, 0.5, 1.0), 0),
@@ -215,7 +241,7 @@ def test_theta_node_coefficients_match_sampled_profile(spec, p, branch):
     # 8(2N + 1) samples of the inverted profile, and so does the energy
     N = 48
     prof = resolve_profile(spec, p, branch=branch)
-    gk, total = fprime_coefficients(prof, 2 * N)
+    gk, total = fourier_coefficients(prof, spec.fprime(), 2 * N)
     Ms = 8 * (2 * N + 1)
     g = spec.fprime()(prof(np.arange(Ms) * (prof.period / Ms)))
     gh = np.fft.fft(g) / Ms
