@@ -25,15 +25,18 @@ profile shifted by z0, arbitrary samples) keeps a complex G and the same
 code runs in complex arithmetic.
 
 Every assembler (local, nonlocal, Whitham, Benjamin-Ono) is the one builder
-_bloch_operator with its own Fourier coefficients, total energy, period
-and inner symbol.  The coefficient does not depend on xi, so its
-coefficients are computed, checked for resolution (the energy beyond
-|n| = N, by Parseval's identity) and turned into the Toeplitz block once
-per wave; each xi then only adds the symbol diagonal and scales the rows
-by theta_n.  A local wave (a profile from resolve_profile) gets the
-coefficients of f'(u0) from the theta nodes of its quadrature
-(waves.fourier_coefficients) and is never evaluated; BO, Whitham and
-assemble_nonlocal are sampled on a uniform grid and FFT'd.  The spectrum comes
+_bloch_operator with its own Fourier coefficients, period and inner
+symbol.  The coefficient does not depend on xi, so its coefficients are
+computed, checked for resolution (the energy beyond |n| = N, by
+Parseval's identity, at most TAIL_TOL of the total) and turned into the
+Toeplitz block once per wave; each xi then only adds the symbol diagonal
+and scales the rows by theta_n.  A local wave (a profile from
+resolve_profile) gets the coefficients of f'(u0) from the theta nodes of
+its quadrature (waves.fourier_coefficients) and is never evaluated; its N
+is a ceiling, and the operator is built on the fewest modes whose
+neglected energy is at most machine epsilon of the total (typically 5 to
+24 modes, matrices 11 to 49 square).  BO, Whitham and assemble_nonlocal
+are sampled on a uniform grid, FFT'd and built at N.  The spectrum comes
 from a dense QR eigensolve of A_xi per xi (i * numpy.linalg.eigvals):
 matrices are a few hundred square at most.
 """
@@ -60,12 +63,15 @@ REAL_COEFF_TOL = 1e-13
 
 @dataclass
 class BlochMatrix:
-    """L_xi = i * operator at one xi; ``operator`` is A_xi, real when the
-    coefficient is even."""
+    """L_xi = i * operator at one xi on the Fourier modes |n| <= N;
+    ``operator`` is A_xi, (2N + 1) square and real when the coefficient is
+    even.  ``tail`` is the coefficient's energy fraction beyond |n| = N.
+    For a local wave N is the size chosen under the assembler's ceiling."""
     N: int
     xi: float
     period: float
     operator: np.ndarray
+    tail: float
 
     @property
     def matrix(self) -> np.ndarray:
@@ -75,29 +81,38 @@ class BlochMatrix:
         return 1j * np.linalg.eigvals(self.operator)
 
 
-def _sampled_coeffs(samples: np.ndarray):
+def _tail_fraction(coeffs: np.ndarray, total: float, N: int) -> float:
+    """Energy fraction of the coefficient beyond |n| = N: the total energy
+    (1/T) int |g|^2 dz minus that of the kept modes, by Parseval's identity
+    (coefficient index k at k mod len).  Above TAIL_TOL the truncation does
+    not resolve the wave: ResolutionError."""
+    if len(coeffs) <= 2 * N + 1:
+        return 0.0
+    tail = total - np.sum(np.abs(coeffs[np.arange(-N, N + 1)]) ** 2)
+    if tail > TAIL_TOL * total:
+        raise ResolutionError(
+            f"Fourier tail energy {tail/total:.2e} above {TAIL_TOL:.1e}; increase N")
+    return tail / total if total > 0 else 0.0
+
+
+def _sampled_coeffs(samples: np.ndarray, N: int):
     """FFT coefficients of a coefficient sampled uniformly on one period, in
-    FFT order, and its total energy, the mean square of the samples."""
+    FFT order, and their energy fraction beyond |n| = N (the total energy
+    is the mean square of the samples)."""
     samples = np.asarray(samples)
-    return np.fft.fft(samples) / len(samples), float(np.mean(np.abs(samples) ** 2))
+    coeffs = np.fft.fft(samples) / len(samples)
+    return coeffs, _tail_fraction(coeffs, float(np.mean(np.abs(samples) ** 2)), N)
 
 
-def _bloch_operator(coeffs: np.ndarray, total: float, N: int, period: float,
+def _bloch_operator(coeffs: np.ndarray, tail: float, N: int, period: float,
                     inner: Callable[[np.ndarray], np.ndarray],
                     c: float) -> Callable[[float], BlochMatrix]:
-    """xi -> L_xi = e^{-i xi z} d/dz (inner + c + g) e^{i xi z} for the
-    coefficient g with Fourier coefficients ``coeffs`` (index k at k mod
-    len) and total energy (1/T) int |g|^2 dz; ``inner`` is the symbol of
-    the linear part at the combined frequencies theta_n.  The tail test and
-    the Toeplitz block of g are done here, once: the energy beyond
-    |n| = N, total minus that of the kept modes, must be at most TAIL_TOL of
-    the total for the truncation to resolve the wave (ResolutionError
-    otherwise).  G is real when the coefficients are (to REAL_COEFF_TOL)."""
-    if len(coeffs) > 2 * N + 1:
-        tail = total - np.sum(np.abs(coeffs[np.arange(-N, N + 1)]) ** 2)
-        if tail > TAIL_TOL * total:
-            raise ResolutionError(
-                f"Fourier tail energy {tail/total:.2e} above {TAIL_TOL:.1e}; increase N")
+    """xi -> L_xi = e^{-i xi z} d/dz (inner + c + g) e^{i xi z} on the modes
+    |n| <= N, for the coefficient g with Fourier coefficients ``coeffs``
+    (index k at k mod len, |k| <= 2N at least) whose energy fraction beyond
+    |n| = N is ``tail``; ``inner`` is the symbol of the linear part at the
+    combined frequencies theta_n.  The Toeplitz block of g is built here,
+    once; it is real when the coefficients are (to REAL_COEFF_TOL)."""
     if np.max(np.abs(coeffs.imag)) <= REAL_COEFF_TOL * np.max(np.abs(coeffs)):
         coeffs = coeffs.real
     ns = np.arange(-N, N + 1)
@@ -110,7 +125,7 @@ def _bloch_operator(coeffs: np.ndarray, total: float, N: int, period: float,
         A = G.copy()
         A[diag] += inner(theta) + c
         A *= theta[:, None]
-        return BlochMatrix(N=N, xi=xi, period=period, operator=A)
+        return BlochMatrix(N=N, xi=xi, period=period, operator=A, tail=tail)
 
     return assembler
 
@@ -123,15 +138,27 @@ def _period_grid(period: float, N: int) -> np.ndarray:
 def local_assembler(profile: WaveProfile, N: int = 64) -> Callable[[float], BlochMatrix]:
     """xi -> L_xi for a local polynomial/power-law wave from
     resolve_profile: the inner operator is -theta^2 + c plus the Toeplitz
-    block of f'(u0).  The coefficients of f'(u0) are summed on the theta
-    nodes once, whatever the number of xi (fourier_coefficients; the
-    profile is never evaluated)."""
-    if N < 32:
-        raise ResolutionError(f"N >= 32 required, got N = {N}")
+    block of f'(u0).  The coefficients g_k of f'(u0), k = 0..2N, are summed
+    on the theta nodes once, whatever the number of xi
+    (fourier_coefficients; the profile is never evaluated).
+
+    N is a ceiling.  The wave is refused at N as by every assembler (energy
+    beyond |n| = N above TAIL_TOL: ResolutionError).  The operator is then
+    built on the smallest n <= N whose energy beyond |k| = n, summed from
+    the top over the computed |g_k|^2, n < |k| <= 2N, is at most machine
+    epsilon of the total (n >= 1, so that the modes 0 and +-1 of the
+    modulation triple are kept); BlochMatrix.N records n."""
+    if N < 1:
+        raise ResolutionError(f"N >= 1 required, got N = {N}")
     gk, total = fourier_coefficients(profile, profile.spec.fprime(), 2 * N)
     coeffs = np.concatenate([gk, np.conj(gk[:0:-1])])     # k = 0..2N, -2N..-1
-    return _bloch_operator(coeffs, total, N, profile.period, lambda theta: -theta ** 2,
-                           profile.params.c)
+    _tail_fraction(coeffs, total, N)
+    # beyond[n] = fraction of the energy at n < |k| <= 2N, n = 0..2N - 1
+    beyond = 2.0 * np.cumsum(np.abs(gk[:0:-1]) ** 2)[::-1] / total
+    fits = np.flatnonzero(beyond[:N + 1] <= np.finfo(float).eps)
+    n = max(1, int(fits[0])) if len(fits) else N
+    return _bloch_operator(coeffs, float(beyond[n]), n, profile.period,
+                           lambda theta: -theta ** 2, profile.params.c)
 
 
 def assemble_local(profile: WaveProfile, xi: float, N: int = 64) -> BlochMatrix:
@@ -148,8 +175,8 @@ def assemble_nonlocal(sym: DispersionSymbol, wave_samples: np.ndarray,
     f'(u0) = fprime_scale * u0 (quadratic nonlinearities).  The multiplier
     is evaluated at the combined physical frequencies."""
     inner = lambda theta: symbol_sign * np.asarray(sym(theta), dtype=float)
-    return _bloch_operator(*_sampled_coeffs(fprime_scale * np.asarray(wave_samples, dtype=float)),
-                           N, period, inner, c)(xi)
+    g = fprime_scale * np.asarray(wave_samples, dtype=float)
+    return _bloch_operator(*_sampled_coeffs(g, N), N, period, inner, c)(xi)
 
 
 def whitham_assembler(wave: StokesWave, sym: DispersionSymbol,
@@ -158,7 +185,7 @@ def whitham_assembler(wave: StokesWave, sym: DispersionSymbol,
     2pi-periodic frame: L = d/dz(-M_k + c - 2w).  xi in [-1/2, 1/2)."""
     w = wave.profile(_period_grid(2.0 * np.pi, N))
     inner = lambda theta: -np.asarray(sym(wave.k * theta), dtype=float)
-    return _bloch_operator(*_sampled_coeffs(-2.0 * w), N, 2.0 * np.pi, inner, wave.speed)
+    return _bloch_operator(*_sampled_coeffs(-2.0 * w, N), N, 2.0 * np.pi, inner, wave.speed)
 
 
 def bo_assembler(params: BOWaveParams, N: int = 128) -> Callable[[float], BlochMatrix]:
@@ -166,7 +193,7 @@ def bo_assembler(params: BOWaveParams, N: int = 128) -> Callable[[float], BlochM
     the physical frame (period 2 pi / k)."""
     T = params.period
     u = bo_eval(params, _period_grid(T, N))
-    return _bloch_operator(*_sampled_coeffs(2.0 * u), N, T, lambda theta: -np.abs(theta),
+    return _bloch_operator(*_sampled_coeffs(2.0 * u, N), N, T, lambda theta: -np.abs(theta),
                            params.c)
 
 

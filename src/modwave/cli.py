@@ -153,10 +153,15 @@ def _section(cfg: dict, field: str) -> dict:
     return val
 
 
+def _is_integer(val) -> bool:
+    """An int (not a bool) or an integral float such as 5.0."""
+    return not isinstance(val, bool) and (isinstance(val, int)
+                                          or isinstance(val, float) and val.is_integer())
+
+
 def _branch(params: dict) -> int:
     val = params.get("branch", 0)
-    if isinstance(val, bool) or not (isinstance(val, int)
-                                     or isinstance(val, float) and val.is_integer()):
+    if not _is_integer(val):
         raise ConfigError(f"branch must be an integer, got {val!r}", field="branch")
     return int(val)
 
@@ -203,9 +208,9 @@ def cmd_sweep(args) -> int:
             spec_g = grid_cfg[key]
             if not (isinstance(spec_g, list) and len(spec_g) == 3
                     and all(isinstance(x, (int, float)) for x in spec_g)
-                    and 1 <= spec_g[2] < math.inf):
-                raise ConfigError(f"grid.{key} must be [lo, hi, n>=1] of numbers",
-                                  field=f"grid.{key}")
+                    and _is_integer(spec_g[2]) and spec_g[2] >= 1):
+                raise ConfigError(f"grid.{key} must be [lo, hi, n] of numbers with an "
+                                  f"integer n >= 1", field=f"grid.{key}")
             axes.append((key, np.linspace(spec_g[0], spec_g[1], int(spec_g[2]))))
         else:
             axes.append((key, np.array([_require_number(p, key)])))
@@ -285,6 +290,8 @@ def cmd_bloch_check(args) -> int:
                                                                branch=args.branch))
         scale = max(np.max(np.abs(predicted)), 1.0)
     mismatch = match_slope_sets(measured, predicted) / scale
+    used = assembler(0.0)
+    print(f"modes    : {used.N} of ceiling {args.modes}, tail {used.tail:.2e}")
     print(f"measured : {np.round(measured, 6)}")
     print(f"predicted: {np.round(predicted, 6)}")
     print(f"relative mismatch: {mismatch:.3e} (tol {tol:.1e})")
@@ -423,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bloch-check", help="compare Bloch slopes with theory")
     p.add_argument("--equation", help="kdv | mkdv-focusing | mkdv-defocusing | schamel | bo")
-    p.add_argument("--modes", type=int, default=64, help="Bloch truncation N")
+    p.add_argument("--modes", type=int, default=64,
+                   help="Bloch truncation N; on a local equation a ceiling")
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--E", type=float, default=0.0)
     p.add_argument("--c", type=float, default=-2.0)

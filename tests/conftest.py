@@ -4,8 +4,9 @@ import pytest
 
 from modwave import (WaveParams, classify_parameters, kdv_params_from_roots,
                      kdv_spec, mkdv_spec, schamel_spec)
+from modwave.bloch import _bloch_operator, _tail_fraction
 from modwave.equations import discriminant, potential_polynomial
-from modwave.waves import quadrature_TMPH
+from modwave.waves import fourier_coefficients, quadrature_TMPH
 
 
 @pytest.fixture(scope="session")
@@ -124,3 +125,14 @@ def fd_jacobian(spec, params, h=1e-5, branch=0, tol_quad=1e-13):
                              tol_quad=tol_quad)
         J[:, j] = (np.array(up[:3]) - np.array(dn[:3])) / (2.0 * h)
     return J
+
+
+def exact_local_assembler(profile, N):
+    """xi -> L_xi of a local wave on exactly the modes |n| <= N: the
+    theta-node coefficients of f'(u0) and the tail test of
+    bloch.local_assembler, without its choice of a smaller size, so that
+    two truncations can be compared."""
+    gk, total = fourier_coefficients(profile, profile.spec.fprime(), 2 * N)
+    coeffs = np.concatenate([gk, np.conj(gk[:0:-1])])
+    return _bloch_operator(coeffs, _tail_fraction(coeffs, total, N), N, profile.period,
+                           lambda theta: -theta ** 2, profile.params.c)

@@ -4,9 +4,10 @@ import time
 
 import numpy as np
 
-from conftest import (fd_jacobian, sample_kdv, sample_mkdv_defocusing,
-                      sample_mkdv_focusing_cnoidal, sample_mkdv_focusing_dnoidal,
-                      sample_schamel, schamel_params_from_interval)
+from conftest import (exact_local_assembler, fd_jacobian, sample_kdv,
+                      sample_mkdv_defocusing, sample_mkdv_focusing_cnoidal,
+                      sample_mkdv_focusing_dnoidal, sample_schamel,
+                      schamel_params_from_interval)
 from modwave import (BOWaveParams, WaveParams, bo_conserved,
                      bo_dispersion_matrix, bo_modulation_speeds, classify,
                      delta_constant_state, delta_discriminant, delta_ilw,
@@ -167,8 +168,8 @@ def test_criterion_09_theory_spectrum_agreement():
             predicted = modulation_slope_prediction(param_jacobian(spec, p, branch=br))
             rel = _slope_check(measured, predicted)
             assert rel < 1e-3, f"{name}: slope mismatch {rel:.2e}"
-            conv = _truncation_check(local_assembler(prof, N=48),
-                                     local_assembler(prof, N=96))
+            conv = _truncation_check(exact_local_assembler(prof, 48),
+                                     exact_local_assembler(prof, 96))
             assert conv < 1e-8, f"{name}: truncation drift {conv:.2e}"
         bop = BOWaveParams(0.0, 1.0, -2.0)
         measured = modulation_slopes(bo_assembler(bop, N=96))

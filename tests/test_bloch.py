@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import exact_local_assembler, schamel_params_from_interval
 from modwave import (BOWaveParams, WaveParams, bo_eval, bo_modulation_speeds,
                      bo_symbol, fkdv_symbol, kdv_params_from_roots, kdv_spec, mkdv_spec,
                      modulation_slope_prediction, param_jacobian, resolve_profile,
-                     stokes_expand, whitham_symbol)
+                     schamel_spec, stokes_expand, whitham_symbol)
 from modwave.bloch import (assemble_local, assemble_nonlocal, bo_assembler,
                            instability_bubble_scan, local_assembler,
                            match_slope_sets, modulation_slopes, whitham_assembler)
@@ -32,7 +33,7 @@ def test_constant_state_dispersion_relation():
 def test_kernel_contains_u_prime(kdv, kdv_wave310):
     prof = resolve_profile(kdv, kdv_wave310)
     N = 48
-    L0 = assemble_local(prof, 0.0, N).matrix
+    L0 = exact_local_assembler(prof, N)(0.0).matrix
     T = prof.period
     Ms = 8 * (2 * N + 1)
     z = np.arange(Ms) * T / Ms
@@ -45,9 +46,10 @@ def test_kernel_contains_u_prime(kdv, kdv_wave310):
 def test_zero_frequency_row_vanishes(kdv, kdv_wave310):
     prof = resolve_profile(kdv, kdv_wave310)
     N = 32
-    M0 = assemble_local(prof, 0.0, N).matrix
+    asm = exact_local_assembler(prof, N)
+    M0 = asm(0.0).matrix
     assert np.max(np.abs(M0[N, :])) == 0.0           # theta_0 = 0 at xi = 0
-    M1 = assemble_local(prof, 1e-3, N).matrix
+    M1 = asm(1e-3).matrix
     assert np.max(np.abs(M1[N, :])) > 0.0
 
 
@@ -136,17 +138,40 @@ def test_bubble_scan_stable_vs_unstable(kdv, kdv_wave310):
 def test_truncation_convergence(kdv, kdv_wave310):
     prof = resolve_profile(kdv, kdv_wave310)
     xi = 5e-3
+    asm = {N: exact_local_assembler(prof, N) for N in (40, 80)}
     near = {}
     for N in (40, 80):
-        ev = assemble_local(prof, xi, N).eigenvalues()
+        ev = asm[N](xi).eigenvalues()
         near[N] = ev[np.argsort(np.abs(ev))[:3]]
     # paired by the best permutation: the real parts that would order them
     # are rounding noise
     assert match_slope_sets(near[40], near[80]) < 1e-8
     grid = np.linspace(1e-3, 0.05, 5)
-    m1, _ = instability_bubble_scan(local_assembler(prof, N=40), grid)
-    m2, _ = instability_bubble_scan(local_assembler(prof, N=80), grid)
+    m1, _ = instability_bubble_scan(asm[40], grid)
+    m2, _ = instability_bubble_scan(asm[80], grid)
     assert abs(m1 - m2) < 1e-6
+
+
+@pytest.mark.parametrize("spec, p, branch", [
+    (kdv_spec(), kdv_params_from_roots(3.0, 1.0, 0.0), 0),
+    (mkdv_spec(+1), WaveParams(0.0, 0.5, -1.0), 0),
+    (mkdv_spec(+1), WaveParams(0.0, -0.5, -1.0), 1),
+    (mkdv_spec(-1), WaveParams(0.0, 0.5, 1.0), 0),
+    (schamel_spec(), schamel_params_from_interval(0.6, 1.2, -1.0), 0),
+], ids=["kdv", "mkdv-focusing-cn", "mkdv-focusing-dn", "mkdv-defocusing", "schamel"])
+def test_sized_truncation_matches_the_ceiling(spec, p, branch):
+    # under the ceiling N = 64 the local assembler builds a smaller
+    # operator, the exact-size one at the size it chose, whose slopes are
+    # those of the full N = 64 truncation
+    prof = resolve_profile(spec, p, branch=branch)
+    asm = local_assembler(prof, N=64)
+    n = asm(1e-2).N
+    assert n < 64 and asm(1e-2).tail <= np.finfo(float).eps
+    sized, ref = asm(0.013).operator, exact_local_assembler(prof, n)(0.013).operator
+    assert np.max(np.abs(sized - ref)) <= 1e-12 * np.max(np.abs(ref))
+    exact = modulation_slopes(exact_local_assembler(prof, 64))
+    scale = np.max(np.abs(exact))
+    assert match_slope_sets(modulation_slopes(asm), exact) <= 1e-6 * scale
 
 
 def test_resolution_error_for_tiny_truncation():
@@ -171,27 +196,26 @@ def test_near_solitary_wave_fails_the_tail_test():
 def test_local_assembler_never_inverts_a_resolved_profile(kdv, kdv_wave310, monkeypatch):
     # the coefficients of f'(u) come from the theta nodes, once per
     # assembler, and the profile's evaluator is never called on the Bloch
-    # path; the evaluator sums its own series of u when first called and
-    # keeps it
+    # path; the evaluator sums its own series of u on one set of theta
+    # nodes when first called and keeps it
     import modwave.bloch
     import modwave.waves
     prof = resolve_profile(kdv, kdv_wave310)
-    calls, bloch_sums, series_sums = [], [], []
+    calls, bloch_sums, node_sets = [], [], []
     evaluate = prof.evaluator
     prof.evaluator = lambda z: calls.append(np.size(z)) or evaluate(z)
-    for module, log in ((modwave.bloch, bloch_sums), (modwave.waves, series_sums)):
-        coefficients = module.fourier_coefficients
-        monkeypatch.setattr(module, "fourier_coefficients",
-                            lambda *a, log=log, f=coefficients: log.append(a[2]) or f(*a))
+    coefficients, theta_sums = modwave.bloch.fourier_coefficients, modwave.waves._theta_sums
+    monkeypatch.setattr(modwave.bloch, "fourier_coefficients",
+                        lambda *a: bloch_sums.append(a[2]) or coefficients(*a))
+    monkeypatch.setattr(modwave.waves, "_theta_sums",
+                        lambda *a: node_sets.append(a) or theta_sums(*a))
     asm = local_assembler(prof, N=48)
     modulation_slopes(asm)
     instability_bubble_scan(asm, [0.01, 0.02, 0.03])
-    assert calls == [] and series_sums == []
-    assert bloch_sums == [2 * 48]
+    assert calls == [] and bloch_sums == [2 * 48] and len(node_sets) == 1
     first = prof(0.3)                            # the evaluator still works when called
-    assert calls == [1] and series_sums
-    built = len(series_sums)
-    assert prof(0.3) == first and len(series_sums) == built
+    assert calls == [1] and len(node_sets) == 2
+    assert prof(0.3) == first and len(node_sets) == 2
 
 
 def _grid(period, N):
@@ -214,7 +238,7 @@ def _local_case():
     spec, p, N = kdv_spec(), kdv_params_from_roots(3.0, 1.0, 0.0), 40
     prof = resolve_profile(spec, p)
     g = spec.fprime()(prof(_grid(prof.period, N)))
-    return (lambda xi: assemble_local(prof, xi, N),
+    return (exact_local_assembler(prof, N),
             (g, N, prof.period, lambda th: -th ** 2, p.c))
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -79,6 +80,16 @@ def test_config_of_the_wrong_shape_is_an_error_line(command, config, field, tmp_
     assert err.startswith("error:") and f"(field: {field})" in err
 
 
+def test_sweep_fractional_grid_count_is_an_error_line(tmp_path, capsys):
+    # a count of 2.5 is not truncated to 2 points
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"equation": {"name": "kdv"}, "grid": {"a": [-0.6, -0.4, 2.5]},
+                               "parameters": {"E": 0.0, "c": -1.5}}))
+    code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: grid.a must be") and "integer n >= 1" in err
+
+
 @pytest.mark.parametrize("grid", [{"a": [-0.6, "x", 3]}, {"a": [-0.6, 0.6, "3"]}],
                          ids=["lo-hi-string", "count-string"])
 def test_sweep_non_numeric_grid_entry_is_an_error_line(grid, tmp_path, capsys):
@@ -106,11 +117,12 @@ def test_unknown_equation_exit1(capsys):
     assert "equation" in err
 
 
-def test_bloch_check_local_below_32_modes_is_an_error_line(capsys):
+def test_bloch_check_ceiling_below_the_wave_is_an_error_line(capsys):
+    # --modes is a ceiling; 2 modes leave a Fourier tail of 2.4e-5
     code, out, err = run_cli(["bloch-check", "--equation", "kdv", "--a", "-0.5", "--E", "0",
-                              "--c", "-1.3333333333333333", "--modes", "16"], capsys)
+                              "--c", "-1.3333333333333333", "--modes", "2"], capsys)
     assert code == 1 and out == ""
-    assert err.startswith("error: ResolutionError:") and "N >= 32" in err
+    assert err.startswith("error: ResolutionError: Fourier tail energy 2.39e-05")
 
 
 def test_bloch_check_negative_modes_is_an_error_line(capsys):
@@ -159,7 +171,7 @@ def test_sweep_deterministic_and_row_major(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({
         "equation": {"name": "kdv"},
-        "grid": {"a": [-0.6, -0.4, 2], "E": [-0.05, 0.05, 2]},
+        "grid": {"a": [-0.6, -0.4, 2], "E": [-0.05, 0.05, 2.0]},   # an integral float counts
         "parameters": {"c": -1.5},
     }))
     bodies = []
@@ -290,6 +302,8 @@ def test_bloch_check_kdv(capsys):
                             "--modes", "40"], capsys)
     assert code == 0
     assert "relative mismatch" in out
+    used = re.search(r"^modes    : (\d+) of ceiling 40, tail ([0-9.e+-]+)$", out, re.M)
+    assert used and 1 <= int(used[1]) < 40 and float(used[2]) <= np.finfo(float).eps
 
 
 def test_entry_point_installed():
