@@ -32,13 +32,16 @@ Parseval's identity, at most TAIL_TOL of the total) and turned into the
 Toeplitz block once per wave; each xi then only adds the symbol diagonal
 and scales the rows by theta_n.  A local wave (a profile from
 resolve_profile) gets the coefficients of f'(u0) from the theta nodes of
-its quadrature (waves.fourier_coefficients) and is never evaluated; its N
-is a ceiling, and the operator is built on the fewest modes whose
-neglected energy is at most machine epsilon of the total (typically 5 to
-24 modes, matrices 11 to 49 square).  BO, Whitham and assemble_nonlocal
-are sampled on a uniform grid, FFT'd and built at N.  The spectrum comes
-from a dense QR eigensolve of A_xi per xi (i * numpy.linalg.eigvals):
-matrices are a few hundred square at most.
+its quadrature (waves.fourier_coefficients) and is never evaluated; BO,
+Whitham and assemble_nonlocal are sampled on a uniform grid and FFT'd.
+For a local or BO wave N is a ceiling: one rule (_truncation) builds the
+operator on the fewest modes whose neglected energy, summed from the top
+over the computed coefficients, is at most a floor of the total --
+machine epsilon for a local wave (typically 5 to 24 modes, matrices 11 to
+49 square), BO_TAIL_FLOOR for BO (typically 15 to 62 modes).  Whitham
+and assemble_nonlocal are built at N.  The spectrum comes from a dense
+QR eigensolve of A_xi per xi (i * numpy.linalg.eigvals): matrices are a
+few hundred square at most.
 """
 from __future__ import annotations
 
@@ -56,6 +59,16 @@ from .waves import WaveProfile, fourier_coefficients
 XI_LIST = (1e-2, 5e-3, 2.5e-3)   # Floquet exponents of the slope extrapolation, descending
 SAMPLES_PER_MODE = 8           # coefficient samples per Fourier mode kept
 TAIL_TOL = 1e-12               # largest energy fraction beyond the kept modes
+# Neglected energy fraction at which a Benjamin-Ono truncation stops
+# growing.  BO slopes are far more sensitive to truncation than local
+# ones, so machine epsilon (the local floor) is too coarse.  Over the 1440
+# BO cases of the bloch-verify benchmark (seeds 1-30, ceilings 48 and 64)
+# the slope error against the closed form has median 5.8e-9 (p95 5.6e-8)
+# at the ceiling; 8.7e-7 (4.6e-6) at an epsilon floor, 26 modes on
+# average; 3.3e-9 (4.1e-8) at this floor, 33 modes on average (15 to 62;
+# neglected amplitude about 1e-10), where the eigensolves cost 0.31 of
+# the ceiling's and the worst case, 2.04e-5, is the ceiling's.
+BO_TAIL_FLOOR = 1e-20
 # Fourier coefficients whose imaginary parts are at most this fraction of
 # their largest modulus are taken as real (an even coefficient function)
 REAL_COEFF_TOL = 1e-13
@@ -66,7 +79,8 @@ class BlochMatrix:
     """L_xi = i * operator at one xi on the Fourier modes |n| <= N;
     ``operator`` is A_xi, (2N + 1) square and real when the coefficient is
     even.  ``tail`` is the coefficient's energy fraction beyond |n| = N.
-    For a local wave N is the size chosen under the assembler's ceiling."""
+    For a local or BO wave N is the size chosen under the assembler's
+    ceiling."""
     N: int
     xi: float
     period: float
@@ -81,38 +95,55 @@ class BlochMatrix:
         return 1j * np.linalg.eigvals(self.operator)
 
 
-def _tail_fraction(coeffs: np.ndarray, total: float, N: int) -> float:
-    """Energy fraction of the coefficient beyond |n| = N: the total energy
-    (1/T) int |g|^2 dz minus that of the kept modes, by Parseval's identity
-    (coefficient index k at k mod len).  Above TAIL_TOL the truncation does
-    not resolve the wave: ResolutionError."""
-    if len(coeffs) <= 2 * N + 1:
-        return 0.0
-    tail = total - np.sum(np.abs(coeffs[np.arange(-N, N + 1)]) ** 2)
-    if tail > TAIL_TOL * total:
-        raise ResolutionError(
-            f"Fourier tail energy {tail/total:.2e} above {TAIL_TOL:.1e}; increase N")
-    return tail / total if total > 0 else 0.0
+def _truncation(coeffs: np.ndarray, total: float, N: int, floor: float | None = None):
+    """Size n <= N of the truncation of a coefficient with Fourier
+    coefficients ``coeffs`` (index k at k mod len) and total energy
+    (1/T) int |g|^2 dz ``total``, and its energy fraction beyond |k| = n.
+
+    The coefficient is refused at N: when the energy beyond |k| = N, the
+    total minus that of the kept modes by Parseval's identity, is above
+    TAIL_TOL of the total, ResolutionError.  That difference sits on the
+    rounding floor, so the reported fraction is summed from the top over
+    the computed coefficients, n < |k| <= min(2N, (len - 1) // 2).  With a
+    floor, n is the smallest size >= 1 (the modes 0 and +-1 of the
+    modulation triple) whose fraction is at most the floor, or N if none
+    is; without one, n = N."""
+    if len(coeffs) > 2 * N + 1:
+        loss = total - np.sum(np.abs(coeffs[np.arange(-N, N + 1)]) ** 2)
+        if loss > TAIL_TOL * total:
+            raise ResolutionError(
+                f"Fourier tail energy {loss/total:.2e} above {TAIL_TOL:.1e}; increase N")
+    K = max(0, min(2 * N, (len(coeffs) - 1) // 2))        # the top computed mode
+    top = np.arange(K, 0, -1)
+    energy = np.abs(coeffs[top]) ** 2 + np.abs(coeffs[-top]) ** 2
+    # beyond[n] = fraction of the energy at n < |k| <= K, n = 0..max(N, K)
+    beyond = np.concatenate([np.cumsum(energy)[::-1], np.zeros(max(N - K, 0) + 1)])
+    beyond /= total if total > 0 else 1.0
+    n = N
+    if floor is not None:
+        fits = np.flatnonzero(beyond[:N + 1] <= floor)
+        n = max(1, int(fits[0])) if len(fits) else N
+    return n, float(beyond[n])
 
 
-def _sampled_coeffs(samples: np.ndarray, N: int):
+def _sampled_coeffs(samples: np.ndarray):
     """FFT coefficients of a coefficient sampled uniformly on one period, in
-    FFT order, and their energy fraction beyond |n| = N (the total energy
-    is the mean square of the samples)."""
+    FFT order, and its total energy (the mean square of the samples)."""
     samples = np.asarray(samples)
-    coeffs = np.fft.fft(samples) / len(samples)
-    return coeffs, _tail_fraction(coeffs, float(np.mean(np.abs(samples) ** 2)), N)
+    return np.fft.fft(samples) / len(samples), float(np.mean(np.abs(samples) ** 2))
 
 
-def _bloch_operator(coeffs: np.ndarray, tail: float, N: int, period: float,
-                    inner: Callable[[np.ndarray], np.ndarray],
-                    c: float) -> Callable[[float], BlochMatrix]:
-    """xi -> L_xi = e^{-i xi z} d/dz (inner + c + g) e^{i xi z} on the modes
-    |n| <= N, for the coefficient g with Fourier coefficients ``coeffs``
-    (index k at k mod len, |k| <= 2N at least) whose energy fraction beyond
-    |n| = N is ``tail``; ``inner`` is the symbol of the linear part at the
-    combined frequencies theta_n.  The Toeplitz block of g is built here,
-    once; it is real when the coefficients are (to REAL_COEFF_TOL)."""
+def _bloch_operator(coeffs: np.ndarray, total: float, N: int, period: float,
+                    inner: Callable[[np.ndarray], np.ndarray], c: float,
+                    floor: float | None = None) -> Callable[[float], BlochMatrix]:
+    """xi -> L_xi = e^{-i xi z} d/dz (inner + c + g) e^{i xi z} for the
+    coefficient g with Fourier coefficients ``coeffs`` (index k at k mod
+    len, |k| <= 2N at least) and total energy ``total``, on the modes
+    |n| <= n of _truncation(coeffs, total, N, floor): N itself without a
+    floor.  ``inner`` is the symbol of the linear part at the combined
+    frequencies theta_n.  The Toeplitz block of g is built here, once; it
+    is real when the coefficients are (to REAL_COEFF_TOL)."""
+    N, tail = _truncation(coeffs, total, N, floor)
     if np.max(np.abs(coeffs.imag)) <= REAL_COEFF_TOL * np.max(np.abs(coeffs)):
         coeffs = coeffs.real
     ns = np.arange(-N, N + 1)
@@ -142,23 +173,18 @@ def local_assembler(profile: WaveProfile, N: int = 64) -> Callable[[float], Bloc
     on the theta nodes once, whatever the number of xi
     (fourier_coefficients; the profile is never evaluated).
 
-    N is a ceiling.  The wave is refused at N as by every assembler (energy
-    beyond |n| = N above TAIL_TOL: ResolutionError).  The operator is then
-    built on the smallest n <= N whose energy beyond |k| = n, summed from
-    the top over the computed |g_k|^2, n < |k| <= 2N, is at most machine
-    epsilon of the total (n >= 1, so that the modes 0 and +-1 of the
-    modulation triple are kept); BlochMatrix.N records n."""
+    N is a ceiling (N >= 1).  The wave is refused at N as by every
+    assembler (energy beyond |n| = N above TAIL_TOL: ResolutionError).  The
+    operator is then built on the smallest n <= N whose energy beyond
+    |k| = n, summed from the top over the computed |g_k|^2, n < |k| <= 2N,
+    is at most machine epsilon of the total (_truncation); BlochMatrix.N
+    records n."""
     if N < 1:
         raise ResolutionError(f"N >= 1 required, got N = {N}")
     gk, total = fourier_coefficients(profile, profile.spec.fprime(), 2 * N)
     coeffs = np.concatenate([gk, np.conj(gk[:0:-1])])     # k = 0..2N, -2N..-1
-    _tail_fraction(coeffs, total, N)
-    # beyond[n] = fraction of the energy at n < |k| <= 2N, n = 0..2N - 1
-    beyond = 2.0 * np.cumsum(np.abs(gk[:0:-1]) ** 2)[::-1] / total
-    fits = np.flatnonzero(beyond[:N + 1] <= np.finfo(float).eps)
-    n = max(1, int(fits[0])) if len(fits) else N
-    return _bloch_operator(coeffs, float(beyond[n]), n, profile.period,
-                           lambda theta: -theta ** 2, profile.params.c)
+    return _bloch_operator(coeffs, total, N, profile.period, lambda theta: -theta ** 2,
+                           profile.params.c, floor=np.finfo(float).eps)
 
 
 def assemble_local(profile: WaveProfile, xi: float, N: int = 64) -> BlochMatrix:
@@ -171,30 +197,40 @@ def assemble_nonlocal(sym: DispersionSymbol, wave_samples: np.ndarray,
                       fprime_scale: float = 2.0,
                       symbol_sign: float = 1.0) -> BlochMatrix:
     """L_xi = e^{-i xi z} d/dz (symbol_sign*M + c + f'(u0)) e^{i xi z} for a
-    nonlocal equation.  ``wave_samples`` are u0 on a uniform period grid;
-    f'(u0) = fprime_scale * u0 (quadratic nonlinearities).  The multiplier
-    is evaluated at the combined physical frequencies."""
+    nonlocal equation on the modes |n| <= N.  ``wave_samples`` are u0 on a
+    uniform period grid; f'(u0) = fprime_scale * u0 (quadratic
+    nonlinearities).  The multiplier is evaluated at the combined physical
+    frequencies."""
     inner = lambda theta: symbol_sign * np.asarray(sym(theta), dtype=float)
     g = fprime_scale * np.asarray(wave_samples, dtype=float)
-    return _bloch_operator(*_sampled_coeffs(g, N), N, period, inner, c)(xi)
+    return _bloch_operator(*_sampled_coeffs(g), N, period, inner, c)(xi)
 
 
 def whitham_assembler(wave: StokesWave, sym: DispersionSymbol,
                       N: int = 48) -> Callable[[float], BlochMatrix]:
     """xi -> L_xi for a small-amplitude Whitham-type wave in the
-    2pi-periodic frame: L = d/dz(-M_k + c - 2w).  xi in [-1/2, 1/2)."""
+    2pi-periodic frame on the modes |n| <= N: L = d/dz(-M_k + c - 2w).
+    xi in [-1/2, 1/2)."""
     w = wave.profile(_period_grid(2.0 * np.pi, N))
     inner = lambda theta: -np.asarray(sym(wave.k * theta), dtype=float)
-    return _bloch_operator(*_sampled_coeffs(-2.0 * w, N), N, 2.0 * np.pi, inner, wave.speed)
+    return _bloch_operator(*_sampled_coeffs(-2.0 * w), N, 2.0 * np.pi, inner, wave.speed)
 
 
 def bo_assembler(params: BOWaveParams, N: int = 128) -> Callable[[float], BlochMatrix]:
     """xi -> L_xi for a Benjamin-Ono wave: L = d/dz(-Lambda + c + 2u) in
-    the physical frame (period 2 pi / k)."""
+    the physical frame (period 2 pi / k).  2u is sampled on 8(2N + 1)
+    points of a period and FFT'd.
+
+    N is a ceiling, as for local_assembler: the wave is refused at N
+    (energy beyond |n| = N above TAIL_TOL: ResolutionError), and the
+    operator is built on the smallest n <= N whose energy beyond |k| = n,
+    summed from the top over the computed coefficients, n < |k| <= 2N, is
+    at most BO_TAIL_FLOOR of the total (_truncation); BlochMatrix.N
+    records n."""
     T = params.period
     u = bo_eval(params, _period_grid(T, N))
-    return _bloch_operator(*_sampled_coeffs(2.0 * u, N), N, T, lambda theta: -np.abs(theta),
-                           params.c)
+    return _bloch_operator(*_sampled_coeffs(2.0 * u), N, T, lambda theta: -np.abs(theta),
+                           params.c, floor=BO_TAIL_FLOOR)
 
 
 def _three_nearest_zero(ev: np.ndarray) -> np.ndarray:

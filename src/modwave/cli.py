@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bloch-check", help="compare Bloch slopes with theory")
     p.add_argument("--equation", help="kdv | mkdv-focusing | mkdv-defocusing | schamel | bo")
     p.add_argument("--modes", type=int, default=64,
-                   help="Bloch truncation N; on a local equation a ceiling")
+                   help="ceiling on the Bloch truncation N (local and BO waves)")
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--E", type=float, default=0.0)
     p.add_argument("--c", type=float, default=-2.0)

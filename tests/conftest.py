@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
-from modwave import (WaveParams, classify_parameters, kdv_params_from_roots,
+from modwave import (WaveParams, bo_eval, classify_parameters, kdv_params_from_roots,
                      kdv_spec, mkdv_spec, schamel_spec)
-from modwave.bloch import _bloch_operator, _tail_fraction
+from modwave.bloch import _bloch_operator, _period_grid, _sampled_coeffs
 from modwave.equations import discriminant, potential_polynomial
 from modwave.waves import fourier_coefficients, quadrature_TMPH
 
@@ -134,5 +134,13 @@ def exact_local_assembler(profile, N):
     two truncations can be compared."""
     gk, total = fourier_coefficients(profile, profile.spec.fprime(), 2 * N)
     coeffs = np.concatenate([gk, np.conj(gk[:0:-1])])
-    return _bloch_operator(coeffs, _tail_fraction(coeffs, total, N), N, profile.period,
+    return _bloch_operator(coeffs, total, N, profile.period,
                            lambda theta: -theta ** 2, profile.params.c)
+
+
+def exact_bo_assembler(params, N):
+    """xi -> L_xi of a Benjamin-Ono wave on exactly the modes |n| <= N:
+    bloch.bo_assembler without its choice of a smaller size."""
+    u = bo_eval(params, _period_grid(params.period, N))
+    return _bloch_operator(*_sampled_coeffs(2.0 * u), N, params.period,
+                           lambda theta: -np.abs(theta), params.c)

@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 
-from conftest import (exact_local_assembler, fd_jacobian, sample_kdv,
+from conftest import (exact_bo_assembler, exact_local_assembler, fd_jacobian, sample_kdv,
                       sample_mkdv_defocusing, sample_mkdv_focusing_cnoidal,
                       sample_mkdv_focusing_dnoidal, sample_schamel,
                       schamel_params_from_interval)
@@ -176,7 +176,7 @@ def test_criterion_09_theory_spectrum_agreement():
         predicted = bo_modulation_speeds(bop).astype(complex)
         rel = _slope_check(measured, predicted)
         assert rel < 1e-3, f"bo: slope mismatch {rel:.2e}"
-        conv = _truncation_check(bo_assembler(bop, N=96), bo_assembler(bop, N=192))
+        conv = _truncation_check(exact_bo_assembler(bop, 96), exact_bo_assembler(bop, 192))
         assert conv < 1e-8, f"bo: truncation drift {conv:.2e}"
 
 

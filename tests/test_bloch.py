@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import exact_local_assembler, schamel_params_from_interval
+from conftest import exact_bo_assembler, exact_local_assembler, schamel_params_from_interval
 from modwave import (BOWaveParams, WaveParams, bo_eval, bo_modulation_speeds,
                      bo_symbol, fkdv_symbol, kdv_params_from_roots, kdv_spec, mkdv_spec,
                      modulation_slope_prediction, param_jacobian, resolve_profile,
                      schamel_spec, stokes_expand, whitham_symbol)
-from modwave.bloch import (assemble_local, assemble_nonlocal, bo_assembler,
+from modwave.bloch import (BO_TAIL_FLOOR, assemble_local, assemble_nonlocal, bo_assembler,
                            instability_bubble_scan, local_assembler,
                            match_slope_sets, modulation_slopes, whitham_assembler)
 from modwave.errors import ResolutionError
@@ -174,6 +174,33 @@ def test_sized_truncation_matches_the_ceiling(spec, p, branch):
     assert match_slope_sets(modulation_slopes(asm), exact) <= 1e-6 * scale
 
 
+@pytest.mark.parametrize("ratio", [0.35, 0.5, 0.7, 0.9])
+def test_sized_bo_truncation_keeps_the_ceiling_accuracy(ratio):
+    # a BO wave with k/s = ratio under the ceiling N = 64: the operator is
+    # the exact-size one at the size chosen, whose neglected energy is at
+    # most BO_TAIL_FLOOR, and its slopes are as close to the closed form
+    # as those of the full N = 64 truncation
+    params = BOWaveParams(0.0, 2.0 * ratio, -2.0)
+    asm = bo_assembler(params, N=64)
+    n, tail = asm(1e-2).N, asm(1e-2).tail
+    ceiling_tail = exact_bo_assembler(params, 64)(1e-2).tail
+    assert tail <= BO_TAIL_FLOOR and (n < 64 or ceiling_tail > BO_TAIL_FLOOR)
+    sized, ref = asm(0.013).operator, exact_bo_assembler(params, n)(0.013).operator
+    assert np.max(np.abs(sized - ref)) <= 1e-12 * np.max(np.abs(ref))
+    predicted = bo_modulation_speeds(params).astype(complex)
+    error = lambda a: match_slope_sets(modulation_slopes(a), predicted) / np.max(np.abs(predicted))
+    assert error(asm) <= max(2.0 * error(exact_bo_assembler(params, 64)), 1e-8)
+
+
+def test_fixed_size_tail_is_summed_from_the_top():
+    # the energy of the BO coefficient beyond 64 modes is about 1e-31 of the
+    # total; total minus kept would read the rounding floor, 2e-16
+    params, N = BOWaveParams(0.0, 1.0, -2.0), 64
+    u = bo_eval(params, _grid(params.period, N))
+    bm = assemble_nonlocal(bo_symbol(), u, params.c, 1e-2, N, params.period, symbol_sign=-1.0)
+    assert bm.N == N and bm.tail < 1e-28
+
+
 def test_resolution_error_for_tiny_truncation():
     # a synthetic coefficient with a slowly decaying Fourier tail trips the guard
     T, N = 5.0, 32
@@ -253,7 +280,8 @@ def _whitham_case():
 def _bo_case():
     params, N = BOWaveParams(0.0, 1.3, -2.0), 32
     u = bo_eval(params, _grid(params.period, N))
-    return bo_assembler(params, N=N), (2.0 * u, N, params.period, lambda th: -np.abs(th), params.c)
+    return exact_bo_assembler(params, N), (2.0 * u, N, params.period, lambda th: -np.abs(th),
+                                           params.c)
 
 
 def _nonlocal_case():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from modwave import WaveParams, classify, fingerprint
+from modwave.bloch import BO_TAIL_FLOOR
 from modwave.cli import equation_from_name, main
 
 
@@ -313,9 +314,13 @@ def test_entry_point_installed():
 
 
 def test_bloch_check_bo(capsys):
-    code, out, _ = run_cli(["bloch-check", "--equation", "bo", "--a", "0.0",
-                            "--k", "1.0", "--c", "-2.0", "--modes", "64"], capsys)
+    # --modes (default 64) is a ceiling on BO as on a local equation: the
+    # wave needs 42 modes
+    code, out, _ = run_cli(["bloch-check", "--equation", "bo", "--a", "0", "--k", "1",
+                            "--c", "-2"], capsys)
     assert code == 0
+    used = re.search(r"^modes    : (\d+) of ceiling 64, tail ([0-9.e+-]+)$", out, re.M)
+    assert used and 1 <= int(used[1]) < 64 and float(used[2]) <= BO_TAIL_FLOOR
 
 
 def test_validate_command(capsys):
