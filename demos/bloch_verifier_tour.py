@@ -10,7 +10,7 @@ import numpy as np
 
 from modwave import (WaveParams, effective_dispersion_roots,
                      kdv_params_from_roots, kdv_spec, mkdv_spec,
-                     modulation_slope_prediction, param_jacobian,
+                     modulation_slope_prediction, moment_jacobian,
                      resolve_profile)
 from modwave.bloch import (instability_bubble_scan, local_assembler,
                            match_slope_sets, modulation_slopes)
@@ -23,7 +23,7 @@ cases = [
 
 for name, spec, p, br in cases:
     prof = resolve_profile(spec, p, branch=br)
-    J = param_jacobian(spec, p, branch=br)
+    J = moment_jacobian(prof.moments)
     nus = effective_dispersion_roots(J)
     predicted = modulation_slope_prediction(J)
     measured = modulation_slopes(local_assembler(prof, N=48))

@@ -24,7 +24,7 @@ from .waves import (MomentTable, WaveProfile, cnoidal_eval, cnoidal_period,
                     dnoidal_eval, dnoidal_period, quadrature_TMPH,
                     resolve_profile, zeta_moments)
 from .picard_fuchs import (ParamJacobian, PicardFuchsSystem, build_system,
-                           param_jacobian, solve_moments)
+                           moment_jacobian, param_jacobian, solve_moments)
 from .mi_index import (StabilityReport, classify, delta_mi,
                        effective_dispersion_roots, kdv_closed_forms,
                        mkdv_root_classifier, modulation_slope_prediction)

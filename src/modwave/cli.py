@@ -38,7 +38,7 @@ from .equations import (EquationSpec, WaveParams, kdv_params_from_roots,
                         kdv_spec, mkdv_spec, schamel_spec)
 from .errors import ConfigError, ModwaveError
 from .mi_index import classify, kdv_closed_forms, modulation_slope_prediction
-from .picard_fuchs import param_jacobian
+from .picard_fuchs import moment_jacobian, param_jacobian
 from .smallamp import (benjamin_feir_cutoff, delta_constant_state,
                        delta_discriminant, delta_ilw, gamma_ilw, lambda_fkdv,
                        lambda_index, whitham_symbol)
@@ -166,6 +166,12 @@ def _branch(params: dict) -> int:
     return int(val)
 
 
+def _finite_positive(val: float, option: str, field: str) -> None:
+    if not (math.isfinite(val) and val > 0):
+        raise ConfigError(f"{option} must be a finite positive number, got {val!r}",
+                          field=field)
+
+
 def _require_number(cfg: dict, field: str):
     val = cfg.get(field)
     if not isinstance(val, (int, float)):
@@ -231,8 +237,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_smallamp(args) -> int:
     for field in ("k_step", "H_step"):
-        if not getattr(args, field) > 0:
-            raise ConfigError(f"--{field.replace('_', '-')} must be positive", field=field)
+        _finite_positive(getattr(args, field), f"--{field.replace('_', '-')}", field)
     rows = []
     if args.symbol == "whitham":
         sym = whitham_symbol()
@@ -246,7 +251,11 @@ def cmd_smallamp(args) -> int:
                   "k_star": kstar, "bracket": list(bracket),
                   "convention_fingerprint": fingerprint()}
     elif args.symbol == "fkdv":
-        alphas = [float(x) for x in args.alphas.split(",")] if args.alphas else [args.alpha]
+        try:
+            alphas = [float(x) for x in args.alphas.split(",")] if args.alphas else [args.alpha]
+        except ValueError:
+            raise ConfigError(f"--alphas must be comma-separated numbers, got {args.alphas!r}",
+                              field="alphas")
         for al in alphas:
             rows.append({"alpha": al, "Lambda_fKdV": lambda_fkdv(args.k, al),
                          "sign": int(np.sign(lambda_fkdv(args.k, al)))})
@@ -273,29 +282,25 @@ def cmd_bloch_check(args) -> int:
     if not 1 <= args.modes <= MAX_MODES:
         raise ConfigError(f"--modes must be between 1 and {MAX_MODES}, got {args.modes}",
                           field="modes")
-    tol = args.tol
+    _finite_positive(args.tol, "--tol", "tol")
     if args.equation == "bo":
         params = BOWaveParams(a=args.a, k=args.k, c=args.c)
         assembler = bo_assembler(params, N=args.modes)
         measured = modulation_slopes(assembler)
         predicted = np.sort_complex(bo_modulation_speeds(params).astype(complex))
-        scale = max(np.max(np.abs(predicted)), 1.0)
     else:
-        spec = equation_from_name(args.equation)
-        params = WaveParams(args.a, args.E, args.c)
-        profile = resolve_profile(spec, params, branch=args.branch)
+        profile = resolve_profile(equation_from_name(args.equation),
+                                  WaveParams(args.a, args.E, args.c), branch=args.branch)
         assembler = local_assembler(profile, N=args.modes)
         measured = modulation_slopes(assembler)
-        predicted = modulation_slope_prediction(param_jacobian(spec, params,
-                                                               branch=args.branch))
-        scale = max(np.max(np.abs(predicted)), 1.0)
-    mismatch = match_slope_sets(measured, predicted) / scale
+        predicted = modulation_slope_prediction(moment_jacobian(profile.moments))
+    mismatch = match_slope_sets(measured, predicted) / max(np.max(np.abs(predicted)), 1.0)
     used = assembler(0.0)
     print(f"modes    : {used.N} of ceiling {args.modes}, tail {used.tail:.2e}")
     print(f"measured : {np.round(measured, 6)}")
     print(f"predicted: {np.round(predicted, 6)}")
-    print(f"relative mismatch: {mismatch:.3e} (tol {tol:.1e})")
-    return 0 if mismatch < tol else 1
+    print(f"relative mismatch: {mismatch:.3e} (tol {args.tol:.1e})")
+    return 0 if mismatch < args.tol else 1
 
 
 def cmd_validate(args) -> int:
@@ -449,8 +454,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if getattr(args, "tol_quad", None) is not None and args.tol_quad <= 0:
-            raise ConfigError("tolerances must be positive", field="tol_quad")
+        if getattr(args, "tol_quad", None) is not None:
+            _finite_positive(args.tol_quad, "--tol-quad", "tol_quad")
         return args.func(args)
     except ConfigError as exc:
         field = f" (field: {exc.field})" if exc.field else ""

@@ -136,6 +136,13 @@ class PotentialPolynomial:
     def degree(self) -> int:
         return np.shape(self.coeffs)[-1] - 1
 
+    @property
+    def moment_demand(self) -> int:
+        """Highest zeta index the Picard-Fuchs Jacobian reads: zeta_{n-2} for
+        the rhs, (T, M, P) at tmp_indices, zeta_{i2+dc-n} for extension rows."""
+        n, i2, dc = self.degree, self.tmp_indices[2], self.grad_offsets[2]
+        return max(n - 2, i2, i2 + dc - n)
+
     def __call__(self, w):
         return polyval(self.coeffs, w)
 

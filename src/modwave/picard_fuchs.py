@@ -25,6 +25,9 @@ oracle-verified map is
 For the Schamel quintic the c-derivative needs I_9, one index beyond the
 square system; it is produced by extending the integration-by-parts
 recurrence one more row.
+
+moment_jacobian reads a MomentTable to the polynomial's moment_demand (a
+resolved profile holds one); param_jacobian is zeta_moments followed by it.
 """
 from __future__ import annotations
 
@@ -52,7 +55,6 @@ class PicardFuchsSystem:
     rhs: np.ndarray
     poly: PotentialPolynomial
     moments: MomentTable
-    solution: np.ndarray = None
     cond: float = np.nan
     failures: dict = field(default_factory=dict)
 
@@ -138,8 +140,6 @@ def solve_moments(system: PicardFuchsSystem, extend_to: int = None) -> np.ndarra
         I, cond = I[0], float(cond[0])
     system.cond = cond
     system.failures = failures
-    system.solution = I
-    system.moments.I = I
     return I
 
 
@@ -198,31 +198,29 @@ class ParamJacobian:
             for name in ("T", "M", "P", "T_E", "TM_aE", "TMP_aEc", "TP_Ec", "MP_aE", "cond")})
 
 
+def moment_jacobian(moments: MomentTable) -> ParamJacobian:
+    """Picard-Fuchs solve -> gradient map -> brackets for a table of
+    zeta_0..zeta_{poly.moment_demand}: a one-wave table gives one
+    ParamJacobian, a batch table a batch one.  The table is not changed."""
+    poly = moments.poly
+    da, _, dc = poly.grad_offsets
+    system = build_system(poly, moments)
+    I = solve_moments(system, extend_to=poly.tmp_indices[2] + dc)
+    J = np.zeros(I.shape[:-1] + (3, 3))
+    for row, k in enumerate(poly.tmp_indices):
+        J[..., row, 0] = -I[..., k + da] / 2.0
+        J[..., row, 1] = -I[..., k] / 2.0
+        J[..., row, 2] = +I[..., k + dc] / 4.0
+    T, M, P = moments.tmp
+    return ParamJacobian.from_matrix(J, T, M, P, cond=system.cond, failures=system.failures)
+
+
 def param_jacobian(spec: EquationSpec, params: WaveParams, branch: int = 0,
                    tol_quad: float = None) -> ParamJacobian:
-    """Full pipeline: moments -> Picard-Fuchs solve -> gradient map ->
-    brackets.  A batch of parameters gives a batch ParamJacobian."""
+    """Full pipeline: moments (zeta_moments, to the equation's moment
+    demand) -> moment_jacobian.  A batch of parameters gives a batch
+    ParamJacobian."""
     kw = {} if tol_quad is None else {"tol_quad": tol_quad}
-    batch = params.as_batch()
-    # moment demand: rhs needs zeta_0..zeta_{n-2}; the extension rows (if any)
-    # need zeta up to m-1; (T,M,P) sit at tmp_indices.  Degree and indices
-    # depend on the equation only.
-    poly = potential_polynomial(spec, WaveParams(0.0, 0.0, 0.0))
-    n = poly.degree
-    i0, i1, i2 = poly.tmp_indices
-    da, dE_, dc = poly.grad_offsets
-    need_I = i2 + dc
-    k_need = max(n - 2, i2)
-    if need_I > 2 * n - 2:
-        k_need = max(k_need, need_I - n)       # zeta_{m-1} for extension rows
-    moments = zeta_moments(spec, batch, k_need, branch, **kw)
-    system = build_system(moments.poly, moments)
-    I = solve_moments(system, extend_to=need_I if need_I > 2 * n - 2 else None)
-    J = np.zeros((len(I), 3, 3))
-    for row, k in enumerate((i0, i1, i2)):
-        J[:, row, 0] = -I[:, k + da] / 2.0
-        J[:, row, 1] = -I[:, k] / 2.0
-        J[:, row, 2] = +I[:, k + dc] / 4.0
-    T, M, P = moments.tmp
-    out = ParamJacobian.from_matrix(J, T, M, P, cond=system.cond, failures=system.failures)
+    demand = potential_polynomial(spec, WaveParams(0.0, 0.0, 0.0)).moment_demand
+    out = moment_jacobian(zeta_moments(spec, params.as_batch(), demand, branch, **kw))
     return out if params.is_batch else out.row(0)

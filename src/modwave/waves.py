@@ -24,14 +24,15 @@ Batches of waves (WaveParams holding arrays) are summed together; each
 row doubles on its own, so its result does not depend on the other rows.
 zeta_moments is the one quadrature: quadrature_TMPH takes T, M, P from its
 table and H as a dot product of the moments with the coefficients of H's
-weight, which is a polynomial in w.
+weight, a polynomial in w.  A resolved wave (resolve_profile) holds its
+table, summed to the Picard-Fuchs moment demand, so
+picard_fuchs.moment_jacobian(profile.moments) is the wave's Jacobian.
 
 theta in [0, pi) also covers one period of the wave in z, with
 dz/dtheta = h(theta) in closed form, so a Fourier coefficient of any
 function of u(z) is a periodic trapezoid sum on the theta nodes as well
-(fourier_coefficients).  A resolved wave is that one representation:
-the Bloch check sums f'(u), and the profile evaluator is the Fourier
-series of u itself, so nothing inverts z(u).
+(fourier_coefficients): the Bloch check sums f'(u), and the profile
+evaluator is the Fourier series of u itself, so nothing inverts z(u).
 """
 from __future__ import annotations
 
@@ -60,13 +61,6 @@ THETA_TOL = 1e-13
 # where G must be positive
 _S2_FIRST = np.sin(np.linspace(0.0, np.pi / 2, QUAD_NODES + 1)) ** 2
 _PROBE = np.linspace(0.0, 1.0, 17)
-
-
-# the error a wave of each non-periodic classification status raises
-_NOT_PERIODIC = {
-    "on-gamma": lambda: DegenerateRoots("parameters lie on the discriminant variety"),
-    "no-bounded-orbit": lambda: NoBoundedOrbit("no positivity interval of E - V"),
-}
 
 
 def _reduced_poly(coeffs, lo, hi) -> np.ndarray:
@@ -165,8 +159,10 @@ def zeta_moments(spec: EquationSpec, params: WaveParams, k_max: int,
     cls = classify_parameters(spec, batch, branch)
     poly = potential_polynomial(spec, batch)
     failures = dict(cls.failures)
-    for status, error in _NOT_PERIODIC.items():
-        flag_rows(failures, cls.status == status, lambda i: error())
+    flag_rows(failures, cls.status == "on-gamma",
+              lambda i: DegenerateRoots("parameters lie on the discriminant variety"))
+    flag_rows(failures, cls.status == "no-bounded-orbit",
+              lambda i: NoBoundedOrbit("no positivity interval of E - V"))
     rows = np.flatnonzero(~np.isnan(cls.w_minus))     # periodic, branch in range
     # Schamel measure is 2 v^k dv (the u = v^2 Jacobian lives in the odd
     # moment indices (T,M,P) = (zeta_1, zeta_3, zeta_5), not in the weight)
@@ -185,16 +181,16 @@ def zeta_moments(spec: EquationSpec, params: WaveParams, k_max: int,
 
 @dataclass
 class MomentTable:
-    """zeta moments (filled here) and singular moments I (filled by the
-    Picard-Fuchs solver).  ``nodes`` are the trapezoid intervals on
-    [0, pi/2] the quadrature used.
-    In a batch table zeta is (B, k_max + 1), poly and classification are
-    batches, and ``failures`` maps each failed row to its error."""
+    """zeta moments with the polynomial and classification they were summed
+    on: the record a WaveProfile holds, read (never changed) by
+    picard_fuchs.moment_jacobian.  ``nodes`` are the trapezoid intervals on
+    [0, pi/2] the quadrature used.  In a batch table zeta is (B, k_max + 1),
+    poly and classification are batches, and ``failures`` maps each failed
+    row to its error."""
 
     zeta: np.ndarray
     poly: PotentialPolynomial
     classification: Classification
-    I: Optional[np.ndarray] = None
     nodes: Optional[np.ndarray] = None      # an int for one wave
     failures: dict = field(default_factory=dict)
 
@@ -237,7 +233,7 @@ def quadrature_TMPH(spec: EquationSpec, params: WaveParams, branch: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# resolved profiles: the period from the moment quadrature, and the Fourier
+# resolved profiles: the moment table of the wave, and the Fourier
 # coefficients of f'(u) (for the Bloch check) or of u (for the evaluator)
 # straight from the theta nodes; z(u) is never inverted.
 # ---------------------------------------------------------------------------
@@ -246,19 +242,22 @@ def quadrature_TMPH(spec: EquationSpec, params: WaveParams, branch: int = 0,
 class WaveProfile:
     """A resolved periodic traveling wave, as resolve_profile returns it.
 
-    The evaluator is even about z - z0 = 0 with u(z0) = u_minus and period
-    T; it is a plain attribute, so a caller may wrap it.  The theta-node
-    sums (fourier_coefficients) read ``classification``, never the
-    evaluator.
+    ``moments`` is its MomentTable; the classification, the interval
+    (u_minus, u_plus) and the period T (the table's zeta at the period
+    index) are read off it.  The evaluator is even about z - z0 = 0 with
+    u(z0) = u_minus and period T; it is a plain attribute, so a caller may
+    wrap it.  The theta-node sums (fourier_coefficients) read the table,
+    never the evaluator.
     """
 
     spec: EquationSpec
     params: WaveParams
-    u_minus: float
-    u_plus: float
-    period: float
+    moments: MomentTable
     evaluator: Callable[[np.ndarray], np.ndarray]
-    classification: Classification
+    classification = property(lambda self: self.moments.classification)
+    u_minus = property(lambda self: self.classification.u_minus)
+    u_plus = property(lambda self: self.classification.u_plus)
+    period = property(lambda self: float(self.moments.tmp[0]))
 
     def __call__(self, z):
         return self.evaluator(z)
@@ -307,7 +306,7 @@ def _theta_sums(profile: WaveProfile, fn: Callable[[np.ndarray], np.ndarray]):
     |g_k| has k within the previous k_max, every lower level fails the new
     test too (it checks those k against the same scale), so the result is
     the one a fresh call gives."""
-    cls, poly = profile.classification, potential_polynomial(profile.spec, profile.params)
+    cls, poly = profile.classification, profile.moments.poly
     lo, hi = cls.w_minus, cls.w_plus
     h = _dz_dtheta(poly, lo, hi)
     square = poly.var == "v"
@@ -368,9 +367,9 @@ def _theta_sums(profile: WaveProfile, fn: Callable[[np.ndarray], np.ndarray]):
 
 
 def resolve_profile(spec: EquationSpec, params: WaveParams, branch: int = 0) -> WaveProfile:
-    """Classify the wave and take its period T from the moment quadrature
-    (the zeta moment zeta_moments reports as T).  The returned profile's
-    evaluator is the Fourier series of u itself,
+    """The wave's moment table, zeta_moments to the Picard-Fuchs moment
+    demand (raising its errors), which gives the period T.  The returned
+    profile's evaluator is the Fourier series of u itself,
 
         u(z) = Re(2 sum_{k=0}^{K} u_k e^{2 pi i k z/T} - u_0),
 
@@ -383,19 +382,8 @@ def resolve_profile(spec: EquationSpec, params: WaveParams, branch: int = 0) -> 
     The series is summed by Horner's rule in e^{2 pi i z/T}, one pass over
     the points per mode.
     """
-    cls = classify_parameters(spec, params, branch)
-    if cls.status in _NOT_PERIODIC:
-        raise _NOT_PERIODIC[cls.status]()
-    poly = potential_polynomial(spec, params)
-    square = poly.var == "v"
-    # T = zeta at the period index; the Schamel measure 2v is 2 w^1
-    i_T = poly.tmp_indices[0]
-    vals, _, failures = _quadrature(np.asarray(poly.coeffs, dtype=float)[None],
-                                    np.array([cls.w_minus]), np.array([cls.w_plus]), i_T,
-                                    2.0 if square else 1.0, TOL_QUAD)
-    if failures:
-        raise failures[0]
-    T = float(vals[0, i_T])
+    moments = zeta_moments(spec, params, potential_polynomial(spec, params).moment_demand,
+                           branch)
     series = []
 
     def u_series():
@@ -412,15 +400,13 @@ def resolve_profile(spec: EquationSpec, params: WaveParams, branch: int = 0) -> 
     def evaluator(z):
         if not series:
             series.append(u_series())
-        uk = series[0]
+        uk, T = series[0], profile.period
         scalar = np.ndim(z) == 0
         x = np.exp((2j * np.pi / T) * np.mod(np.atleast_1d(np.asarray(z, dtype=float)), T))
         u = 2.0 * npoly.polyval(x, uk).real - uk[0].real
         return float(u[0]) if scalar else u
 
-    profile = WaveProfile(spec=spec, params=params, u_minus=cls.u_minus,
-                          u_plus=cls.u_plus, period=T, evaluator=evaluator,
-                          classification=cls)
+    profile = WaveProfile(spec=spec, params=params, moments=moments, evaluator=evaluator)
     return profile
 
 

@@ -111,6 +111,53 @@ def test_smallamp_nonpositive_step_is_an_error_line(argv, capsys):
     assert err.startswith("error:") and "k_step" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tol_quad_is_an_error_line(value, capsys):
+    # nan never converges (the wave read hypothesis-failed); inf accepted the
+    # first trapezoid level (a period off by 1e-2)
+    args = {"kdv": ["--a", "-0.5", "--E", "0", "--c", "-1.5"],
+            "mkdv-focusing": ["--a", "0", "--E", "0.01", "--c", "-1"]}
+    for equation, wave in args.items():
+        code, out, err = run_cli(["classify", "--equation", equation, *wave,
+                                  "--tol-quad", value], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --tol-quad must be a finite positive number")
+        assert "(field: tol_quad)" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0"])
+def test_bloch_check_tol_not_finite_positive_is_an_error_line(value, capsys):
+    # such a --tol made every wave a mismatch
+    code, out, err = run_cli(["bloch-check", "--equation", "kdv", "--a", "-0.5", "--E", "0",
+                              "--c", "-1.3333333333333333", "--tol", value], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --tol must be a finite positive number")
+    assert "(field: tol)" in err
+
+
+def test_smallamp_non_numeric_alphas_is_an_error_line(capsys):
+    code, out, err = run_cli(["smallamp", "--symbol", "fkdv", "--alphas", "1,x"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --alphas must be comma-separated numbers")
+    assert "(field: alphas)" in err
+
+
+def test_local_bloch_check_classifies_and_integrates_once(monkeypatch, capsys):
+    # the Jacobian comes from the profile's moment table, not from a second
+    # classification and quadrature of the same wave
+    import modwave.waves as waves
+    calls = {"classify_parameters": 0, "_quadrature": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(waves, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(waves, name, counted)
+    code, out, _ = run_cli(["bloch-check", "--equation", "kdv", "--a", "-0.5", "--E", "0",
+                            "--c", "-1.3333333333333333"], capsys)
+    assert code == 0 and "relative mismatch" in out
+    assert calls == {"classify_parameters": 1, "_quadrature": 1}
+
+
 def test_unknown_equation_exit1(capsys):
     code, _, err = run_cli(["classify", "--equation", "nope",
                             "--a", "0", "--E", "0", "--c", "-1"], capsys)

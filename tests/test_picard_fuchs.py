@@ -3,8 +3,9 @@ import pytest
 
 from conftest import (fd_jacobian, sample_kdv, sample_mkdv_defocusing,
                       sample_mkdv_focusing_cnoidal, schamel_params_from_interval)
-from modwave import (WaveParams, build_system, kdv_spec, mkdv_spec,
-                     param_jacobian, schamel_spec, solve_moments, zeta_moments)
+from modwave import (WaveParams, build_system, kdv_params_from_roots, kdv_spec,
+                     mkdv_spec, moment_jacobian, param_jacobian, resolve_profile,
+                     schamel_spec, solve_moments, zeta_moments)
 from modwave.equations import PotentialPolynomial
 from modwave.errors import IllConditioned, SingularSystem
 from modwave.waves import MomentTable
@@ -147,8 +148,21 @@ def test_moment_extension_consistency():
     assert abs(resid) < 1e-9 * max(1.0, np.max(np.abs(I)))
 
 
-def test_moment_table_filled_by_solver(kdv, kdv_wave310):
-    table = zeta_moments(kdv, kdv_wave310, 2)
-    sys_ = build_system(table.poly, table)
-    I = solve_moments(sys_)
-    assert table.I is not None and np.array_equal(table.I, I)
+@pytest.mark.parametrize("spec, p, branch", [
+    (kdv_spec(), kdv_params_from_roots(3.0, 1.0, 0.0), 0),
+    (mkdv_spec(+1), WaveParams(0.0, 0.5, -1.0), 0),
+    (mkdv_spec(+1), WaveParams(0.0, -0.5, -1.0), 1),
+    (mkdv_spec(-1), WaveParams(0.0, 0.5, 1.0), 0),
+    (schamel_spec(), schamel_params_from_interval(0.6, 1.2, -1.0), 0),
+], ids=["kdv", "mkdv-focusing-cn", "mkdv-focusing-dn", "mkdv-defocusing", "schamel"])
+def test_profile_table_gives_the_param_jacobian(spec, p, branch):
+    # a resolved wave carries the moments its Jacobian needs; the Jacobian
+    # from that table is param_jacobian's to the bit, and reading the table
+    # leaves it as it was
+    table = resolve_profile(spec, p, branch=branch).moments
+    assert table.zeta.shape == (table.poly.moment_demand + 1,)
+    zeta = table.zeta.copy()
+    J, ref = moment_jacobian(table), param_jacobian(spec, p, branch=branch)
+    assert np.array_equal(J.J, ref.J)
+    assert J.T == ref.T and J.cond == ref.cond
+    assert np.array_equal(table.zeta, zeta)

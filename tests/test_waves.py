@@ -183,7 +183,7 @@ def test_profile_evaluator_schamel_positive():
     p = schamel_params_from_interval(0.6, 1.2, -1.0)
     prof = resolve_profile(spec, p)
     # the inversion carries the u = v^2 measure 2v that zeta_1 = T carries
-    assert prof.period == pytest.approx(param_jacobian(spec, p).T, rel=1e-12)
+    assert prof.period == param_jacobian(spec, p).T
     zs = np.linspace(0, prof.period, 64)
     u = prof(zs)
     assert np.all(u > 0)
@@ -284,13 +284,16 @@ def test_translation_offset(kdv):
     assert np.max(np.abs(prof1(zs + 0.8) - prof0(zs))) < 1e-12
 
 
-def test_nonperiodic_error_types(kdv):
+def test_nonperiodic_error_types(kdv, kdv_wave310):
     from modwave.errors import DegenerateRoots, NoBoundedOrbit
-    with pytest.raises(DegenerateRoots):
-        quadrature_TMPH(kdv, WaveParams(0.0, 0.0, -1.0))        # on the variety
-    with pytest.raises(NoBoundedOrbit):
-        # one real root + complex pair: no positivity interval
-        quadrature_TMPH(kdv, WaveParams(0.0, -5.0, 2.0))
+    for resolve in (quadrature_TMPH, resolve_profile):
+        with pytest.raises(DegenerateRoots):
+            resolve(kdv, WaveParams(0.0, 0.0, -1.0))        # on the variety
+        with pytest.raises(NoBoundedOrbit):
+            # one real root + complex pair: no positivity interval
+            resolve(kdv, WaveParams(0.0, -5.0, 2.0))
+        with pytest.raises(DomainError, match="branch 1 out of range"):
+            resolve(kdv, kdv_wave310, branch=1)              # one interval only
 
 
 def test_quadrature_failure_guard():
