@@ -172,6 +172,11 @@ def _finite_positive(val: float, option: str, field: str) -> None:
                           field=field)
 
 
+def _finite(val: float, option: str, field: str) -> None:
+    if not math.isfinite(val):
+        raise ConfigError(f"{option} must be a finite number, got {val!r}", field=field)
+
+
 def _require_number(cfg: dict, field: str):
     val = cfg.get(field)
     if not isinstance(val, (int, float)):
@@ -238,6 +243,8 @@ def cmd_sweep(args) -> int:
 def cmd_smallamp(args) -> int:
     for field in ("k_step", "H_step"):
         _finite_positive(getattr(args, field), f"--{field.replace('_', '-')}", field)
+    for field in ("k", "k_min", "k_max", "alpha", "H_min", "H_max"):
+        _finite(getattr(args, field), f"--{field.replace('_', '-')}", field)
     rows = []
     if args.symbol == "whitham":
         sym = whitham_symbol()
@@ -257,6 +264,7 @@ def cmd_smallamp(args) -> int:
             raise ConfigError(f"--alphas must be comma-separated numbers, got {args.alphas!r}",
                               field="alphas")
         for al in alphas:
+            _finite(al, "--alphas", "alphas")
             rows.append({"alpha": al, "Lambda_fKdV": lambda_fkdv(args.k, al),
                          "sign": int(np.sign(lambda_fkdv(args.k, al)))})
         result = {"symbol": "fkdv", "k": args.k, "rows": rows,

@@ -178,9 +178,9 @@ def companion_roots(coeffs) -> np.ndarray:
     exact zero per vanishing low-order coefficient.  The leading
     coefficient must be nonzero.  Returns (B, n) complex roots."""
     c = np.asarray(coeffs, dtype=float)
-    n_zero = np.argmax(c != 0.0, axis=1)        # roots at exactly zero
-    if not n_zero.any():
+    if c[:, 0].all():                           # no root at exactly zero
         return _companion_eigvals(c)
+    n_zero = np.argmax(c != 0.0, axis=1)
     out = np.zeros((c.shape[0], c.shape[1] - 1), dtype=complex)
     for z in np.unique(n_zero):
         rows = np.flatnonzero(n_zero == z)
@@ -202,16 +202,14 @@ def _companion_eigvals(c) -> np.ndarray:
 
 def _root_structure(coeffs):
     """Per row of (B, n + 1) ascending coefficients: the real roots ascending
-    (nan-padded to n), their count, the count of complex-conjugate pairs
-    and whether two real roots coincide to tolerance."""
+    (nan-padded to n; the others are complex-conjugate pairs) and whether
+    two real roots coincide to tolerance."""
     c = np.asarray(coeffs, dtype=float)
     tol = TOL_ROOT * (1.0 + np.abs(c).max(axis=1, keepdims=True))
     r = companion_roots(c)
-    is_real = np.abs(r.imag) < tol
-    real = np.sort(np.where(is_real, r.real, np.nan), axis=1)
-    n_real = is_real.sum(axis=1)
-    repeated = (np.diff(real, axis=1) < tol).any(axis=1)    # nan pads compare False
-    return real, n_real, (r.shape[1] - n_real) // 2, repeated
+    real = np.sort(np.where(np.abs(r.imag) < tol, r.real, np.nan), axis=1)
+    repeated = (real[:, 1:] - real[:, :-1] < tol).any(axis=1)    # nan pads compare False
+    return real, repeated
 
 
 def effective_potential(spec: EquationSpec, a: float, c: float, u) -> float:
@@ -258,11 +256,11 @@ def potential_roots(poly: PotentialPolynomial):
     """
     if poly.degree < 2:
         raise DomainError("potential polynomial must have degree >= 2")
-    real, n_real, n_pairs, repeated = _root_structure(np.asarray(poly.coeffs, float)[None])
-    real = real[0, :n_real[0]]
+    real, repeated = _root_structure(np.asarray(poly.coeffs, float)[None])
+    real = real[0][~np.isnan(real[0])]
     if repeated[0]:
         raise DegenerateRoots("repeated real root of E - V", roots=real)
-    return real, int(n_pairs[0])
+    return real, (poly.degree - len(real)) // 2
 
 
 def sylvester_matrix(coeffs) -> np.ndarray:
@@ -295,14 +293,18 @@ class Classification:
     """Outcome of classify_parameters.  status is "periodic", "on-gamma",
     or "no-bounded-orbit".  For periodic orbits, (w_minus, w_plus) is the
     oscillation interval in the integration variable and (u_minus, u_plus)
-    the physical one; ``intervals`` lists all coexisting branches.
+    the physical one; ``intervals`` lists all coexisting branches.  ``poly``
+    is the potential polynomial the roots came from, which the later layers
+    read instead of building it again.
 
     For a batch every field but ``branch`` is an array with one entry per
     wave (``intervals`` is (B, pairs, 2), nan where an adjacent root pair
-    bounds no orbit), and ``failures`` maps a row to the error a single
-    call would raise for it (a branch index out of range)."""
+    bounds no orbit; ``poly`` has one coefficient row per wave), and
+    ``failures`` maps a row to the error a single call would raise for it
+    (a branch index out of range)."""
 
     status: str
+    poly: PotentialPolynomial
     w_minus: float = np.nan
     w_plus: float = np.nan
     u_minus: float = np.nan
@@ -325,7 +327,7 @@ class Classification:
             u_plus=float(self.u_plus[i]),
             intervals=tuple((lo, hi) for lo, hi in self.intervals[i].tolist()
                             if not np.isnan(lo)),
-            branch=self.branch)
+            branch=self.branch, poly=self.poly.row(i))
 
 
 STATUS = np.array(["periodic", "on-gamma", "no-bounded-orbit"])
@@ -349,21 +351,19 @@ def classify_parameters(spec: EquationSpec, params: WaveParams,
         finite = np.isfinite(poly.coeffs / poly.coeffs[:, -1:]).all(axis=1)
     # a non-finite row is solved as 1 + w + ... + w^n (simple roots) and has no orbit
     coeffs = np.where(finite[:, None], poly.coeffs, 1.0)
-    real, _, _, repeated = _root_structure(coeffs)
+    real, repeated = _root_structure(coeffs)
     lo, hi = real[:, :-1], real[:, 1:]           # adjacent roots; nan past the real ones
     valid = (polyval(coeffs, 0.5 * (lo + hi)) > 0.0) & ~repeated[:, None] & finite[:, None]
     if poly.var == "v":
         valid &= lo > 0.0          # Schamel profiles must stay positive
-    count = valid.sum(axis=1)
+    count = valid.sum(axis=1)                    # 0 on a repeated root
     status = STATUS[np.where(repeated, 1, np.where(count == 0, 2, 0))]
-    chosen = (count > 0) & ~repeated
-    in_range = (0 <= branch) & (branch < count)
+    chosen = (0 <= branch) & (branch < count)
     failures = {}
     flag_rows(failures, ~finite, lambda i: DomainError(
         "non-finite wave parameters or potential coefficients"))
-    flag_rows(failures, chosen & ~in_range,
+    flag_rows(failures, (count > 0) & ~chosen,
               lambda i: DomainError(f"branch {branch} out of range; {count[i]} interval(s)"))
-    chosen &= in_range
     pick = np.arange(len(count)), np.argmax(np.cumsum(valid, axis=1) == branch + 1, axis=1)
     w_lo = np.where(chosen, lo[pick], np.nan)
     w_hi = np.where(chosen, hi[pick], np.nan)
@@ -373,7 +373,7 @@ def classify_parameters(spec: EquationSpec, params: WaveParams,
         u_minus=w_lo * w_lo if square else w_lo,
         u_plus=w_hi * w_hi if square else w_hi,
         intervals=np.where(valid[..., None], np.stack([lo, hi], axis=-1), np.nan),
-        branch=branch, failures=failures)
+        branch=branch, failures=failures, poly=poly)
     return out if params.is_batch else out.row(0)
 
 

@@ -54,7 +54,7 @@ def _index(S, D):
 def _hypothesis_failures(J: ParamJacobian) -> dict:
     """{row: HypothesisFailed} where T_E, {T,M}_{a,E} or {T,M,P}_{a,E,c}
     (the first in that order) vanishes to tolerance."""
-    vals = np.stack([np.atleast_1d(getattr(J, name)) for name in HYPOTHESES], axis=-1)
+    vals = np.array([getattr(J, name) for name in HYPOTHESES]).reshape(len(HYPOTHESES), -1).T
     small = np.abs(vals) < TOL_HYP
     first = np.argmax(small, axis=-1)
     out = {}
@@ -117,27 +117,25 @@ def classify(spec: EquationSpec, params: WaveParams, branch: int = 0,
     diagnostics = {"convention_fingerprint": fingerprint(), "branch": branch}
     J = param_jacobian(spec, params.as_batch(), branch=branch, tol_quad=tol_quad)
     reasons = {i: f"{type(exc).__name__}: {exc}" for i, exc in J.failures.items()}
-    reasons.update({i: str(exc) for i, exc in _hypothesis_failures(J).items()
-                    if i not in reasons})
+    for i, exc in _hypothesis_failures(J).items():
+        reasons.setdefault(i, str(exc))
     S, D = _index_parts(J)
-    B = len(S)
-    ok = np.ones(B, dtype=bool)
-    ok[list(reasons)] = False
-    delta, roots = np.full(B, np.nan), np.full((B, 3), np.nan, complex)
-    delta[ok], roots[ok] = _index(S[ok], D[ok])
+    failed = np.zeros(len(S), dtype=bool)
+    failed[list(reasons)] = True
+    # a failed row's cubic (nan, on which eigvals raises) is taken as -nu^3
+    delta, roots = _index(np.where(failed, 0.0, S), np.where(failed, 0.0, D))
     tol = _tol_deg(S, D)
-    labels = np.where(delta > tol, "stable", np.where(delta < -tol, "unstable", "degenerate"))
     columns = {"T": J.T, "M": J.M, "P": J.P, "S": S, "D": D, "pf_condition": J.cond,
                "tol_deg": tol, "TP_Ec": J.TP_Ec, "MP_aE": J.MP_aE}
     values = zip(*(col.tolist() for col in columns.values()))
     flags = zip(*(getattr(J, name).tolist() for name in HYPOTHESES))
     reports = []
-    for i, (vals, flag_vals, d, label) in enumerate(
-            zip(values, flags, delta.tolist(), labels.tolist())):
+    for i, (vals, flag_vals, d, t) in enumerate(zip(values, flags, delta.tolist(), tol.tolist())):
         if i in reasons:
             reports.append(StabilityReport(np.nan, np.full(3, np.nan, complex), "hypothesis-failed",
                                            {}, {**diagnostics, "reason": reasons[i]}))
             continue
+        label = "stable" if d > t else "unstable" if d < -t else "degenerate"
         reports.append(StabilityReport(d, roots[i], label, dict(zip(HYPOTHESES, flag_vals)), {
             **diagnostics, **dict(zip(columns, vals)), "tol_hyp": TOL_HYP}))
     return reports if params.is_batch else reports[0]

@@ -35,8 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equations import (EquationSpec, PotentialPolynomial, WaveParams, potential_polynomial,
-                        sylvester_matrix)
+from .equations import EquationSpec, PotentialPolynomial, WaveParams, sylvester_matrix
 from .errors import IllConditioned, SingularSystem, flag_rows
 from .waves import MomentTable, zeta_moments
 
@@ -91,37 +90,38 @@ def solve_moments(system: PicardFuchsSystem, extend_to: int = None) -> np.ndarra
         sum_j j a_j I_{j+m-1} = 2 m zeta_{m-1},   m = n, n+1, ...
 
     Raises SingularSystem on a repeated root of P, IllConditioned above
-    COND_MAX, and on residual failure.  A stack of systems is solved at
-    once: rows failing here or earlier get nan moments and an entry in
-    ``system.failures`` instead of raising."""
+    COND_MAX (the 2-norm condition number, from the singular values), and
+    on residual failure.  A stack of systems is solved at once, every row
+    in place: rows failing here or earlier get nan moments and their first
+    failure in ``system.failures`` instead of raising; the condition number
+    of a row that failed earlier is nan."""
     batch = system.matrix.ndim == 3
     A = system.matrix if batch else system.matrix[None]
     rhs = system.rhs if batch else system.rhs[None]
     B, N = rhs.shape
     failures = dict(system.moments.failures) if batch else {}
-    ok = np.ones(B, dtype=bool)
-    ok[list(failures)] = False
-    cond = np.full(B, np.nan)
-    cond[ok] = np.linalg.cond(A[ok])
-    flag_rows(failures, ok & ~np.isfinite(cond),
+    failed = np.zeros(B, dtype=bool)
+    failed[list(failures)] = True
+    # a failed row (whose matrix may hold non-finite entries, on which the
+    # svd raises, or be singular) is taken as the identity until it is masked
+    eye = np.eye(N)
+    A = np.where(failed[:, None, None], eye, A)
+    s = np.linalg.svd(A, compute_uv=False)
+    with np.errstate(all="ignore"):              # as np.linalg.cond
+        cond = s[:, 0] / s[:, -1]
+    singular, ill = ~np.isfinite(cond), cond > COND_MAX
+    flag_rows(failures, singular,
               lambda i: SingularSystem("Picard-Fuchs matrix is singular (repeated root)"))
-    flag_rows(failures, ok & (cond > COND_MAX), lambda i: IllConditioned(
+    flag_rows(failures, ill, lambda i: IllConditioned(
         f"condition number {cond[i]:.3e} exceeds {COND_MAX:.1e}"))
-    ok[list(failures)] = False
-    rows = np.flatnonzero(ok)
-    I = np.full((B, N), np.nan)
-    try:
-        I[rows] = np.linalg.solve(A[rows], rhs[rows][..., None])[..., 0]
-    except np.linalg.LinAlgError:             # pragma: no cover - cond check above
-        for i in rows:
-            try:
-                I[i] = np.linalg.solve(A[i], rhs[i])
-            except np.linalg.LinAlgError as exc:
-                failures[int(i)] = SingularSystem(str(exc))
-    resid = _norm(np.matmul(A[rows], I[rows, :, None])[..., 0] - rhs[rows])
-    flag_rows(failures, resid > 1e-10 * np.maximum(_norm(rhs[rows]), 1.0),
-              lambda k: IllConditioned(f"residual {resid[k]:.3e} too large"), rows)
-    I[list(failures)] = np.nan
+    cond[failed] = np.nan
+    failed |= singular | ill
+    A[failed] = eye
+    I = np.linalg.solve(A, rhs[..., None])[..., 0]
+    resid = _norm(np.matmul(A, I[..., None])[..., 0] - rhs)
+    loose = resid > 1e-10 * np.maximum(_norm(rhs), 1.0)
+    flag_rows(failures, loose, lambda i: IllConditioned(f"residual {resid[i]:.3e} too large"))
+    I[failed | loose] = np.nan
     n = system.poly.degree
     if extend_to is not None and extend_to > 2 * n - 2:
         a = np.asarray(system.poly.coeffs, dtype=float).reshape(B, n + 1)
@@ -156,7 +156,8 @@ class ParamJacobian:
     oracles compare against J entrywise.
 
     For a batch every field is an array over waves (J is (B, 3, 3)), nan
-    on the rows listed in ``failures``.
+    on the rows listed in ``failures``: from_matrix takes J with those rows
+    nan (as moment_jacobian builds it) and computes every row in place.
     """
 
     J: np.ndarray
@@ -177,17 +178,14 @@ class ParamJacobian:
         if J.ndim == 2:
             return cls.from_matrix(J[None], np.atleast_1d(T), np.atleast_1d(M),
                                    np.atleast_1d(P), np.atleast_1d(cond)).row(0)
-        failures = failures or {}
-        ok = np.ones(len(J), dtype=bool)
-        ok[list(failures)] = False
-        # {T,M}_{a,E}, {T,P}_{E,c}, {M,P}_{a,E} as one stack of 2x2 minors
-        minors = np.full((len(J), 3), np.nan)
-        minors[ok] = np.linalg.det(J[ok][:, _MINOR_ROWS, _MINOR_COLS])
-        TMP = np.full(len(J), np.nan)
-        TMP[ok] = np.linalg.det(J[ok])
+        # {T,M}_{a,E}, {T,P}_{E,c}, {M,P}_{a,E} as one stack of 2x2 minors;
+        # det passes the nan rows of failed waves through
+        with np.errstate(invalid="ignore"):
+            minors = np.linalg.det(J[:, _MINOR_ROWS, _MINOR_COLS])
+            TMP = np.linalg.det(J)
         return cls(J=J, T=T, M=M, P=P, T_E=J[:, 0, 1], TM_aE=minors[:, 0],
                    TMP_aEc=-TMP, TP_Ec=-minors[:, 1], MP_aE=minors[:, 2],
-                   cond=cond, failures=failures)
+                   cond=cond, failures=failures or {})
 
     def row(self, i: int) -> "ParamJacobian":
         """Row i of a batch as a single Jacobian (raises its failure)."""
@@ -203,14 +201,10 @@ def moment_jacobian(moments: MomentTable) -> ParamJacobian:
     zeta_0..zeta_{poly.moment_demand}: a one-wave table gives one
     ParamJacobian, a batch table a batch one.  The table is not changed."""
     poly = moments.poly
-    da, _, dc = poly.grad_offsets
     system = build_system(poly, moments)
-    I = solve_moments(system, extend_to=poly.tmp_indices[2] + dc)
-    J = np.zeros(I.shape[:-1] + (3, 3))
-    for row, k in enumerate(poly.tmp_indices):
-        J[..., row, 0] = -I[..., k + da] / 2.0
-        J[..., row, 1] = -I[..., k] / 2.0
-        J[..., row, 2] = +I[..., k + dc] / 4.0
+    I = solve_moments(system, extend_to=poly.tmp_indices[2] + poly.grad_offsets[2])
+    # J[row, col] = (-1/2, -1/2, +1/4)[col] * I_{k_row + (da, 0, dc)[col]}
+    J = I[..., np.add.outer(poly.tmp_indices, poly.grad_offsets)] * (-0.5, -0.5, 0.25)
     T, M, P = moments.tmp
     return ParamJacobian.from_matrix(J, T, M, P, cond=system.cond, failures=system.failures)
 
@@ -221,6 +215,5 @@ def param_jacobian(spec: EquationSpec, params: WaveParams, branch: int = 0,
     demand) -> moment_jacobian.  A batch of parameters gives a batch
     ParamJacobian."""
     kw = {} if tol_quad is None else {"tol_quad": tol_quad}
-    demand = potential_polynomial(spec, WaveParams(0.0, 0.0, 0.0)).moment_demand
-    out = moment_jacobian(zeta_moments(spec, params.as_batch(), demand, branch, **kw))
+    out = moment_jacobian(zeta_moments(spec, params.as_batch(), None, branch, **kw))
     return out if params.is_batch else out.row(0)

@@ -71,7 +71,7 @@ def _reduced_poly(coeffs, lo, hi) -> np.ndarray:
     for root in (lo, hi):
         root = np.asarray(root, dtype=float)
         for i in range(c.shape[-1] - 2, -1, -1):
-            c[..., i] -= -root * c[..., i + 1]
+            c[..., i] += root * c[..., i + 1]
         c = c[..., 1:]
     return -c
 
@@ -80,7 +80,8 @@ def _quadrature(coeffs, lo, hi, k_max: int, wfac: float, tol: float):
     """sqrt(2) * int wfac w^k/sqrt(P) dw over [lo, hi], k = 0..k_max, for B
     waves.
 
-    coeffs (B, n + 1) are the rows of P and lo, hi (B,) their intervals.
+    coeffs (B, n + 1) are the rows of P and lo, hi (B,) their intervals (a
+    row with a nan interval fails the positivity probe and is not summed).
     Returns the (B, k_max + 1) values (nan where a row failed), the
     trapezoid intervals on [0, pi/2] each row used, and
     {row: QuadratureFailure}."""
@@ -111,13 +112,13 @@ def _quadrature(coeffs, lo, hi, k_max: int, wfac: float, tol: float):
                 g[:, j] = g[:, j - 1] * w
             g *= (2.0 / np.sqrt(polyval(G[r], w)))[:, None, :]
             if first:
-                g[..., [0, -1]] *= 0.5
+                g[..., ::QUAD_NODES] *= 0.5              # the two end nodes
                 out[1, k:k + step] = g[..., 1::2].sum(axis=-1)
                 g = g[..., ::2]
             out[0, k:k + step] = g.sum(axis=-1)
         return out
 
-    rows = np.flatnonzero(positive)
+    rows = positive.nonzero()[0]
     M = QUAD_NODES
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         S_half, S_odd = node_sum(rows, _S2_FIRST, first=True)
@@ -143,37 +144,38 @@ def _quadrature(coeffs, lo, hi, k_max: int, wfac: float, tol: float):
     return values, nodes, failures
 
 
-def zeta_moments(spec: EquationSpec, params: WaveParams, k_max: int,
+def zeta_moments(spec: EquationSpec, params: WaveParams, k_max: int = None,
                  branch: int = 0, tol_quad: float = TOL_QUAD) -> "MomentTable":
-    """Moments zeta_0..zeta_kmax of the wave.
+    """Moments zeta_0..zeta_kmax of the wave (k_max None: to the potential
+    polynomial's moment_demand, all the Picard-Fuchs Jacobian reads).
 
     zeta_k = sqrt(2) * int mu(w) w^k / sqrt(E - V) dw over the oscillation
     interval, with measure weight mu = 1 for polynomial nonlinearities and
     mu = 2v for the Schamel substitution u = v^2.  With this normalization
     the physical quantities are  (T, M, P) = (zeta_i0, zeta_i1, zeta_i2)
     at the indices carried by the potential polynomial ((0,1,2) or (1,3,5)).
-    A batch of parameters gives a batch MomentTable; every non-periodic or
-    failed row is in its ``failures``.
+    The polynomial is the one classify_parameters built.  A batch of
+    parameters gives a batch MomentTable: every row is summed in place, and
+    a non-periodic or failed row has nan moments and its first failure in
+    ``failures``.
     """
-    batch = params.as_batch()
-    cls = classify_parameters(spec, batch, branch)
-    poly = potential_polynomial(spec, batch)
+    cls = classify_parameters(spec, params.as_batch(), branch)
+    poly = cls.poly
+    if k_max is None:
+        k_max = poly.moment_demand
     failures = dict(cls.failures)
     flag_rows(failures, cls.status == "on-gamma",
               lambda i: DegenerateRoots("parameters lie on the discriminant variety"))
     flag_rows(failures, cls.status == "no-bounded-orbit",
               lambda i: NoBoundedOrbit("no positivity interval of E - V"))
-    rows = np.flatnonzero(~np.isnan(cls.w_minus))     # periodic, branch in range
     # Schamel measure is 2 v^k dv (the u = v^2 Jacobian lives in the odd
-    # moment indices (T,M,P) = (zeta_1, zeta_3, zeta_5), not in the weight)
+    # moment indices (T,M,P) = (zeta_1, zeta_3, zeta_5), not in the weight);
+    # rows without an interval (w_minus nan) are not summed
     wfac = 2.0 if spec.kind == "local-power" else 1.0
-    vals, row_nodes, quad_failures = _quadrature(
-        poly.coeffs[rows], cls.w_minus[rows], cls.w_plus[rows], k_max, wfac, tol_quad)
-    zeta = np.full((len(cls.status), k_max + 1), np.nan)
-    zeta[rows] = vals
-    nodes = np.zeros(len(cls.status), dtype=int)
-    nodes[rows] = row_nodes
-    failures.update({int(rows[k]): exc for k, exc in quad_failures.items()})
+    zeta, nodes, quad_failures = _quadrature(poly.coeffs, cls.w_minus, cls.w_plus, k_max,
+                                             wfac, tol_quad)
+    for i, exc in quad_failures.items():         # a row's first failure wins
+        failures.setdefault(i, exc)
     table = MomentTable(zeta=zeta, poly=poly, classification=cls,
                         nodes=nodes, failures=failures)
     return table if params.is_batch else table.row(0)
@@ -203,8 +205,8 @@ class MomentTable:
         """Row i of a batch as a single table (raises its failure)."""
         if i in self.failures:
             raise self.failures[i]
-        return MomentTable(zeta=self.zeta[i], poly=self.poly.row(i),
-                           classification=self.classification.row(i),
+        cls = self.classification.row(i)
+        return MomentTable(zeta=self.zeta[i], poly=cls.poly, classification=cls,
                            nodes=int(self.nodes[i]))
 
 
@@ -382,8 +384,7 @@ def resolve_profile(spec: EquationSpec, params: WaveParams, branch: int = 0) -> 
     The series is summed by Horner's rule in e^{2 pi i z/T}, one pass over
     the points per mode.
     """
-    moments = zeta_moments(spec, params, potential_polynomial(spec, params).moment_demand,
-                           branch)
+    moments = zeta_moments(spec, params, None, branch)
     series = []
 
     def u_series():

@@ -1,12 +1,15 @@
 """The batched classify core: a batch must give each wave exactly what the
 wave gets alone, whatever its neighbours are."""
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ellipkm1
 
-from conftest import sample_kdv
+from conftest import (sample_kdv, sample_mkdv_defocusing, sample_mkdv_focusing_cnoidal,
+                      sample_schamel)
 from modwave import (WaveParams, classify, kdv_params_from_roots, kdv_spec,
                      mkdv_spec, quadrature_TMPH, schamel_spec, zeta_moments)
 from modwave.equations import effective_potential
@@ -20,12 +23,6 @@ def _batch(points):
     return WaveParams(*(np.array(x, dtype=float) for x in zip(*points)))
 
 
-def _fields(rep):
-    d = rep.diagnostics
-    return (rep.classification, d.get("T", np.nan), d.get("M", np.nan),
-            d.get("P", np.nan), rep.delta_mi)
-
-
 def _abc(p):
     return p.a, p.E, p.c
 
@@ -35,6 +32,18 @@ def _same(x, y):
     if isinstance(x, str) or isinstance(y, str):
         return x == y
     return np.array_equal(np.asarray(x), np.asarray(y), equal_nan=True)
+
+
+def _assert_same_report(rep, alone):
+    """Every field of a batch row's report is the one-wave report's, to the bit."""
+    assert rep.classification == alone.classification
+    assert _same(rep.delta_mi, alone.delta_mi)
+    assert _same(rep.mu_roots, alone.mu_roots)
+    for got, want in ((rep.hypothesis_flags, alone.hypothesis_flags),
+                      (rep.diagnostics, alone.diagnostics)):
+        assert got.keys() == want.keys()
+        for key, val in want.items():
+            assert _same(got[key], val), key
 
 
 def _critical_point(spec, u0, c):
@@ -62,11 +71,7 @@ def test_batch_equals_batch_of_one(eq, points, critical, branch):
     batch = classify(spec, _batch(points), branch=branch)
     assert len(batch) == len(points)
     for p, rep in zip(points, batch):
-        alone = classify(spec, WaveParams(*p), branch=branch)
-        got, want = _fields(rep), _fields(alone)
-        assert got[0] == want[0]
-        assert rep.diagnostics.get("reason") == alone.diagnostics.get("reason")
-        np.testing.assert_allclose(got[1:], want[1:], rtol=1e-12, atol=0.0)
+        _assert_same_report(rep, classify(spec, WaveParams(*p), branch=branch))
 
 
 def test_bad_row_leaves_neighbours_bit_identical():
@@ -77,20 +82,38 @@ def test_bad_row_leaves_neighbours_bit_identical():
            (np.nan, 0.0, -1.0),                                # non-finite parameter
            (0.0, -5.0, 2.0),                                   # no bounded orbit
            _abc(kdv_params_from_roots(3.0, 1e-6, 0.0)),        # ill-conditioned system
-           (0.0, 0.0, np.inf)]
+           (0.0, 0.0, np.inf),
+           _abc(kdv_params_from_roots(3.0, 1e-8, 0.0)),        # quadrature not converged
+           _abc(kdv_params_from_roots(3000.0, 1000.0, 0.0))]   # {T,M}_{a,E} ~ 2e-14
     points = good[:2] + bad[:2] + [near] + bad[2:] + good[2:]
     batch = classify(spec, _batch(points))
-    assert [rep.classification for rep in batch].count("hypothesis-failed") == 5
+    assert [rep.classification for rep in batch].count("hypothesis-failed") == 7
     assert batch[3].diagnostics["reason"] == \
         "DomainError: non-finite wave parameters or potential coefficients"
+    assert batch[8].diagnostics["reason"].startswith("QuadratureFailure: error estimate")
+    assert batch[9].diagnostics["reason"].startswith("TM_aE = ")
     for p, rep in zip(points, batch):
-        alone = classify(spec, WaveParams(*p))
-        assert rep.classification == alone.classification
-        assert rep.diagnostics.keys() == alone.diagnostics.keys()
-        for key, val in alone.diagnostics.items():
-            assert _same(rep.diagnostics[key], val), key
-        assert _same(rep.mu_roots, alone.mu_roots)
-        assert _same(rep.delta_mi, alone.delta_mi)
+        _assert_same_report(rep, classify(spec, WaveParams(*p)))
+
+
+@pytest.mark.parametrize("eq, sample", [("kdv", sample_kdv),
+                                        ("mkdv-focusing", sample_mkdv_focusing_cnoidal),
+                                        ("mkdv-defocusing", sample_mkdv_defocusing),
+                                        ("schamel", sample_schamel)])
+def test_one_wave_classify_builds_one_potential_polynomial(eq, sample, monkeypatch):
+    # classify_parameters builds P; the quadrature and the Picard-Fuchs
+    # layers read it from the classification instead of building it again
+    drawn = sample(np.random.default_rng(7), 1)[0]
+    p, branch = drawn if isinstance(drawn, tuple) else (drawn, 0)      # schamel: (p, branch)
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("modwave.") and "potential_polynomial" in vars(module):
+            def counted(*args, _fn=module.potential_polynomial, _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, "potential_polynomial", counted)
+    assert classify(SPECS[eq], p, branch=branch).classification in ("stable", "unstable")
+    assert len(calls) == 1, calls
 
 
 def test_near_solitary_period_engages_doubling():

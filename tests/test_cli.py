@@ -142,6 +142,24 @@ def test_smallamp_non_numeric_alphas_is_an_error_line(capsys):
     assert "(field: alphas)" in err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["--symbol", "fkdv", "--alphas", "1,nan"], "alphas"),
+    (["--symbol", "fkdv", "--alphas", "1,inf"], "alphas"),
+    (["--symbol", "fkdv", "--alpha", "nan"], "alpha"),
+    (["--symbol", "fkdv", "--k", "nan"], "k"),
+    (["--symbol", "whitham", "--k-min", "nan"], "k_min"),
+    (["--symbol", "whitham", "--k-max", "inf"], "k_max"),
+    (["--symbol", "ilw", "--H-min", "nan"], "H_min"),
+    (["--symbol", "ilw", "--H-max", "inf"], "H_max")],
+    ids=["alphas-nan", "alphas-inf", "alpha", "k", "k-min", "k-max", "H-min", "H-max"])
+def test_smallamp_non_finite_number_is_an_error_line(argv, field, capsys):
+    # each of these ended in a ValueError traceback (int(nan) or np.arange)
+    code, out, err = run_cli(["smallamp", *argv], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: --{field.replace('_', '-')} must be a finite number")
+    assert f"(field: {field})" in err
+
+
 def test_local_bloch_check_classifies_and_integrates_once(monkeypatch, capsys):
     # the Jacobian comes from the profile's moment table, not from a second
     # classification and quadrature of the same wave
