@@ -1,5 +1,5 @@
 """Truncated Fourier-Galerkin discretization of the Bloch operators and
-measurement of the three modulation branch slopes.
+measurement of the three modulation slopes.
 
 Local gKdV-type equations linearize in the co-moving frame to
 
@@ -40,8 +40,21 @@ over the computed coefficients, is at most a floor of the total --
 machine epsilon for a local wave (typically 5 to 24 modes, matrices 11 to
 49 square), BO_TAIL_FLOOR for BO (typically 15 to 62 modes).  Whitham
 and assemble_nonlocal are built at N.  The spectrum comes from a dense
-QR eigensolve of A_xi per xi (i * numpy.linalg.eigvals): matrices are a
+QR eigensolve of A_xi per xi (BlochMatrix.eigenvalues): matrices are a
 few hundred square at most.
+
+The three eigenvalues that leave the origin are lambda_j(xi) = i mu_j xi
++ O(xi^2).  modulation_slopes never follows one of them from xi to xi:
+the elementary symmetric functions e1, e2, e3 of the triple's
+lambda/(i xi) are holomorphic in xi even where branches cross or pair up
+(Kato, Perturbation Theory for Linear Operators, II sections 1-2), so they are
+extrapolated to xi = 0 and the slopes are the roots of
+mu^3 - e1 mu^2 + e2 mu - e3.  The first xi is XI0 k0, k0 = 2 pi/T, halved
+while the triple is not separated from the rest of the spectrum.  With a
+real coefficient and a symbol smooth at theta = 0 the triple's
+lambda/(i xi) is even in xi, so the extrapolation is in powers of xi^2;
+BO's symbol -|theta| has a kink there and its assembler asks for powers
+of xi (BlochMatrix.xi_power).
 """
 from __future__ import annotations
 
@@ -52,11 +65,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bo import BOWaveParams, bo_eval
-from .errors import BranchMixing, ResolutionError
+from .errors import ResolutionError
 from .smallamp import DispersionSymbol, StokesWave
 from .waves import WaveProfile, fourier_coefficients
 
-XI_LIST = (1e-2, 5e-3, 2.5e-3)   # Floquet exponents of the slope extrapolation, descending
+XI0 = 1e-2                     # first Floquet exponent of the slope extrapolation, times 2 pi/T
+SEPARATION = 0.1               # largest |lambda_3|/|lambda_4| at which the triple is taken
+MAX_HALVINGS = 12              # most halvings of the first exponent
 SAMPLES_PER_MODE = 8           # coefficient samples per Fourier mode kept
 TAIL_TOL = 1e-12               # largest energy fraction beyond the kept modes
 # Neglected energy fraction at which a Benjamin-Ono truncation stops
@@ -80,12 +95,15 @@ class BlochMatrix:
     ``operator`` is A_xi, (2N + 1) square and real when the coefficient is
     even.  ``tail`` is the coefficient's energy fraction beyond |n| = N.
     For a local or BO wave N is the size chosen under the assembler's
-    ceiling."""
+    ceiling.  ``xi_power`` is the power of xi in which the modulation
+    triple's lambda/(i xi) is a series: 2 for a symbol smooth at theta = 0,
+    1 for BO's -|theta|."""
     N: int
     xi: float
     period: float
     operator: np.ndarray
     tail: float
+    xi_power: int = 2
 
     @property
     def matrix(self) -> np.ndarray:
@@ -135,13 +153,15 @@ def _sampled_coeffs(samples: np.ndarray):
 
 def _bloch_operator(coeffs: np.ndarray, total: float, N: int, period: float,
                     inner: Callable[[np.ndarray], np.ndarray], c: float,
-                    floor: float | None = None) -> Callable[[float], BlochMatrix]:
+                    floor: float | None = None,
+                    xi_power: int = 2) -> Callable[[float], BlochMatrix]:
     """xi -> L_xi = e^{-i xi z} d/dz (inner + c + g) e^{i xi z} for the
     coefficient g with Fourier coefficients ``coeffs`` (index k at k mod
     len, |k| <= 2N at least) and total energy ``total``, on the modes
     |n| <= n of _truncation(coeffs, total, N, floor): N itself without a
     floor.  ``inner`` is the symbol of the linear part at the combined
-    frequencies theta_n.  The Toeplitz block of g is built here, once; it
+    frequencies theta_n; ``xi_power`` is 1 when it has a kink at theta = 0
+    (BlochMatrix.xi_power).  The Toeplitz block of g is built here, once; it
     is real when the coefficients are (to REAL_COEFF_TOL)."""
     N, tail = _truncation(coeffs, total, N, floor)
     if np.max(np.abs(coeffs.imag)) <= REAL_COEFF_TOL * np.max(np.abs(coeffs)):
@@ -156,7 +176,7 @@ def _bloch_operator(coeffs: np.ndarray, total: float, N: int, period: float,
         A = G.copy()
         A[diag] += inner(theta) + c
         A *= theta[:, None]
-        return BlochMatrix(N=N, xi=xi, period=period, operator=A, tail=tail)
+        return BlochMatrix(N=N, xi=xi, period=period, operator=A, tail=tail, xi_power=xi_power)
 
     return assembler
 
@@ -200,7 +220,9 @@ def assemble_nonlocal(sym: DispersionSymbol, wave_samples: np.ndarray,
     nonlocal equation on the modes |n| <= N.  ``wave_samples`` are u0 on a
     uniform period grid; f'(u0) = fprime_scale * u0 (quadratic
     nonlinearities).  The multiplier is evaluated at the combined physical
-    frequencies."""
+    frequencies.  The matrix states xi_power 2, a symbol smooth at
+    theta = 0, whatever ``sym`` is; the slopes of a BO wave come from
+    bo_assembler."""
     inner = lambda theta: symbol_sign * np.asarray(sym(theta), dtype=float)
     g = fprime_scale * np.asarray(wave_samples, dtype=float)
     return _bloch_operator(*_sampled_coeffs(g), N, period, inner, c)(xi)
@@ -226,59 +248,51 @@ def bo_assembler(params: BOWaveParams, N: int = 128) -> Callable[[float], BlochM
     operator is built on the smallest n <= N whose energy beyond |k| = n,
     summed from the top over the computed coefficients, n < |k| <= 2N, is
     at most BO_TAIL_FLOOR of the total (_truncation); BlochMatrix.N
-    records n."""
+    records n.  The symbol's kink at theta = 0 makes the slopes a series
+    in xi, not xi^2 (xi_power = 1)."""
     T = params.period
     u = bo_eval(params, _period_grid(T, N))
     return _bloch_operator(*_sampled_coeffs(2.0 * u), N, T, lambda theta: -np.abs(theta),
-                           params.c, floor=BO_TAIL_FLOOR)
-
-
-def _three_nearest_zero(ev: np.ndarray) -> np.ndarray:
-    return ev[np.argsort(np.abs(ev))[:3]]
-
-
-def _match_branches(prev: np.ndarray, cur: np.ndarray, gap_tol: float = 1e-10):
-    """Order cur (3 values) to continue prev by minimal total distance;
-    ambiguity below gap_tol raises BranchMixing."""
-    best, second = None, None
-    best_perm = None
-    for perm in permutations(range(3)):
-        cost = float(np.sum(np.abs(prev - cur[list(perm)])))
-        if best is None or cost < best:
-            second = best
-            best, best_perm = cost, perm
-        elif second is None or cost < second:
-            second = cost
-    if second is not None and second - best < gap_tol and second > 0:
-        raise BranchMixing(f"continuation ambiguous: costs {best:.3e} vs {second:.3e}")
-    return cur[list(best_perm)]
+                           params.c, floor=BO_TAIL_FLOOR, xi_power=1)
 
 
 def modulation_slopes(assembler: Callable[[float], BlochMatrix]) -> np.ndarray:
-    """Slopes mu_j = lim lambda_j(xi)/(i xi) of the three eigenvalue
-    branches bifurcating from the origin.
+    """Slopes mu_j = lim lambda_j(xi)/(i xi) of the three eigenvalues
+    leaving the origin, sorted.
 
-    At each xi of XI_LIST the three eigenvalues nearest zero are selected,
-    matched to the previous xi by nearest continuation, and the slopes are
-    Richardson (Neville) extrapolated to xi = 0.
+    The first exponent is xi0 = XI0 k0, k0 = 2 pi/T.  It is halved, at
+    most MAX_HALVINGS times, while the third-smallest |lambda| at xi0 is
+    not below SEPARATION times the fourth: a pair of eigenvalues that
+    does not belong to the triple is then too close to zero (long waves).
+    An operator on the modes |n| <= 1 has the triple as its spectrum.
+    At xi0, xi0/2 and xi0/4 the three lambda/(i xi) nearest zero give
+    their elementary symmetric functions e1, e2, e3, which need no
+    matching of eigenvalues from one xi to the next.  Neville's scheme
+    takes them to xi = 0 in powers of xi^2, or of xi when the operator's
+    BlochMatrix.xi_power says so (BO), and the slopes are the roots of
+    mu^3 - e1 mu^2 + e2 mu - e3.  For a real operator the real parts of
+    the e's are used, so a stable wave's slopes come out real.
     """
-    rows = []
-    prev = None
-    for xi in XI_LIST:
-        mus = _three_nearest_zero(assembler(xi).eigenvalues()) / (1j * xi)
-        mus = np.sort_complex(mus) if prev is None else _match_branches(prev, mus)
-        prev = mus
-        rows.append(mus)
-    table = [np.array(rows)]                  # Neville in powers of xi
-    xs = np.array(XI_LIST)
-    for lev in range(1, len(xs)):
-        prev_col = table[-1]
-        nxt = np.empty((len(xs) - lev, 3), dtype=complex)
-        for i in range(len(xs) - lev):
-            x0, x1 = xs[i], xs[i + lev]
-            nxt[i] = (x0 * prev_col[i + 1] - x1 * prev_col[i]) / (x0 - x1)
-        table.append(nxt)
-    return np.sort_complex(table[-1][0])
+    xi = XI0 * 2.0 * np.pi / assembler(0.0).period
+    for halvings in range(MAX_HALVINGS + 1):
+        bloch = assembler(xi)
+        lam = bloch.eigenvalues()
+        near = np.sort(np.abs(lam))           # 3 values when the wave is sized to n = 1
+        if len(near) == 3 or near[2] < SEPARATION * near[3] or halvings == MAX_HALVINGS:
+            break
+        xi /= 2.0
+    levels = [(xi, lam)] + [(x, assembler(x).eigenvalues()) for x in (xi / 2.0, xi / 4.0)]
+    xs, cubics = [], []
+    for x, lam in levels:                     # (1, -e1, e2, -e3) of the triple at each xi
+        mu = lam[np.argsort(np.abs(lam))[:3]] / (1j * x)
+        xs.append(x ** bloch.xi_power)
+        cubics.append(np.array([1.0, -mu.sum(), mu[0] * mu[1] + mu[0] * mu[2] + mu[1] * mu[2],
+                                -mu.prod()]))
+    for lev in (1, 2):                        # Neville to xi = 0
+        cubics = [(xs[i] * cubics[i + 1] - xs[i + lev] * cubics[i]) / (xs[i] - xs[i + lev])
+                  for i in range(len(cubics) - 1)]
+    cubic = cubics[0].real if np.isrealobj(bloch.operator) else cubics[0]
+    return np.sort_complex(np.roots(cubic))
 
 
 def instability_bubble_scan(assembler: Callable[[float], BlochMatrix],

@@ -166,9 +166,10 @@ def _branch(params: dict) -> int:
     return int(val)
 
 
-def _finite_positive(val: float, option: str, field: str) -> None:
-    if not (math.isfinite(val) and val > 0):
-        raise ConfigError(f"{option} must be a finite positive number, got {val!r}",
+def _finite_positive(val: float, option: str, field: str, below: float = math.inf) -> None:
+    if not (math.isfinite(val) and 0 < val < below):
+        bound = f" below {below:g}" if below < math.inf else ""
+        raise ConfigError(f"{option} must be a finite positive number{bound}, got {val!r}",
                           field=field)
 
 
@@ -463,7 +464,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         if getattr(args, "tol_quad", None) is not None:
-            _finite_positive(args.tol_quad, "--tol-quad", "tol_quad")
+            # a relative tolerance of 1 or more lets any first level through
+            _finite_positive(args.tol_quad, "--tol-quad", "tol_quad", below=1.0)
         return args.func(args)
     except ConfigError as exc:
         field = f" (field: {exc.field})" if exc.field else ""

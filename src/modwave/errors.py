@@ -77,10 +77,6 @@ class ResolutionError(ModwaveError):
     truncation cannot resolve the wave."""
 
 
-class BranchMixing(ModwaveError):
-    """Nearest-continuation matching of eigenvalue branches is ambiguous."""
-
-
 class ConfigError(ModwaveError):
     """Malformed analysis request."""
 

@@ -143,4 +143,4 @@ def exact_bo_assembler(params, N):
     bloch.bo_assembler without its choice of a smaller size."""
     u = bo_eval(params, _period_grid(params.period, N))
     return _bloch_operator(*_sampled_coeffs(2.0 * u), N, params.period,
-                           lambda theta: -np.abs(theta), params.c)
+                           lambda theta: -np.abs(theta), params.c, xi_power=1)

@@ -116,6 +116,37 @@ def test_focusing_cnoidal_slopes_complex():
     assert np.sum(np.abs(measured.imag) > 1e-4) == 2
 
 
+@pytest.mark.parametrize("p, N", [
+    (WaveParams(-0.015236053039830975, 0.004522796478762389, -0.06419800505350734), 64),
+    (WaveParams(-0.008114525126181105, 0.017531369664968634, -0.08368915291521424), 48),
+    (WaveParams(0.011557722532979316, 0.016869519991000684, -0.14478071205009493), 48),
+], ids=["period-29.9", "period-20.5", "period-20.9-halved"])
+def test_long_focusing_waves_match_the_prediction(p, N):
+    # two-real-root focusing mKdV waves whose slopes, tracked from one xi to
+    # the next and extrapolated in xi, missed the prediction by 8.2e-3,
+    # 5.5e-3 and 5.2e-2.  On the last, a pair of eigenvalues outside the
+    # modulation triple sits nearer zero than its third member until the
+    # first xi is halved three times.  The bound is far below bloch-check's
+    # 1e-3: extrapolating in xi rather than xi^2 reads 1.6e-5 to 3.3e-5 here
+    spec = mkdv_spec(+1)
+    prof = resolve_profile(spec, p)
+    predicted = modulation_slope_prediction(param_jacobian(spec, p))
+    measured = modulation_slopes(local_assembler(prof, N=N))
+    assert match_slope_sets(measured, predicted) < 1e-6 * np.max(np.abs(predicted))
+
+
+def test_operator_on_three_modes_is_the_triple(kdv):
+    # a near-harmonic KdV wave is sized to the modes |n| <= 1: its 3 x 3
+    # operator has no fourth eigenvalue to separate the triple from
+    p = kdv_params_from_roots(1.0 + 1e-4, 1.0, 0.0)
+    prof = resolve_profile(kdv, p)
+    asm = local_assembler(prof, N=48)
+    assert asm(0.0).N == 1
+    predicted = modulation_slope_prediction(param_jacobian(kdv, p))
+    measured = modulation_slopes(asm)
+    assert match_slope_sets(measured, predicted) < 1e-3 * np.max(np.abs(predicted))
+
+
 def test_bo_slopes_match_closed_form():
     params = BOWaveParams(0.0, 1.0, -2.0)
     measured = modulation_slopes(bo_assembler(params, N=96))

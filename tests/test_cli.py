@@ -111,10 +111,11 @@ def test_smallamp_nonpositive_step_is_an_error_line(argv, capsys):
     assert err.startswith("error:") and "k_step" in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1e10"])
 def test_non_finite_tol_quad_is_an_error_line(value, capsys):
-    # nan never converges (the wave read hypothesis-failed); inf accepted the
-    # first trapezoid level (a period off by 1e-2)
+    # nan never converges (the wave read hypothesis-failed); inf, and any
+    # relative tolerance of 1 or more, accepted the first trapezoid level (a
+    # period off by 1e-2)
     args = {"kdv": ["--a", "-0.5", "--E", "0", "--c", "-1.5"],
             "mkdv-focusing": ["--a", "0", "--E", "0.01", "--c", "-1"]}
     for equation, wave in args.items():
@@ -189,6 +190,27 @@ def test_bloch_check_ceiling_below_the_wave_is_an_error_line(capsys):
                               "--c", "-1.3333333333333333", "--modes", "2"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: ResolutionError: Fourier tail energy 2.39e-05")
+
+
+def test_bloch_check_near_solitary_kdv_answers(capsys):
+    # KdV roots (3, 1e-4, 0): two slopes of +-2.2e-4 beside one of -1.18.
+    # Following each eigenvalue from one xi to the next found two equally
+    # good matchings there and stopped with an error line; the measured
+    # cubic gives an answer, though one carrying the rounding of the
+    # near-Jordan triple
+    code, out, err = run_cli(["bloch-check", "--equation", "kdv", "--a=-5e-05", "--E", "0",
+                              "--c=-1.0000333333333333"], capsys)
+    assert code in (0, 1) and err == ""
+    assert re.search(r"^relative mismatch: [0-9.e+-]+ ", out, re.M)
+
+
+def test_bloch_check_long_focusing_wave_matches(capsys):
+    # a focusing mKdV wave of period 29.9, once a mismatch of 8.2e-3
+    code, out, _ = run_cli(["bloch-check", "--equation", "mkdv-focusing",
+                            "--a", "-0.015236053039830975", "--E", "0.004522796478762389",
+                            "--c", "-0.06419800505350734"], capsys)
+    assert code == 0
+    assert "relative mismatch" in out
 
 
 def test_bloch_check_negative_modes_is_an_error_line(capsys):
