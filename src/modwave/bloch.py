@@ -214,16 +214,15 @@ def assemble_local(profile: WaveProfile, xi: float, N: int = 64) -> BlochMatrix:
 
 def assemble_nonlocal(sym: DispersionSymbol, wave_samples: np.ndarray,
                       c: float, xi: float, N: int, period: float,
-                      fprime_scale: float = 2.0,
-                      symbol_sign: float = 1.0) -> BlochMatrix:
-    """L_xi = e^{-i xi z} d/dz (symbol_sign*M + c + f'(u0)) e^{i xi z} for a
-    nonlocal equation on the modes |n| <= N.  ``wave_samples`` are u0 on a
-    uniform period grid; f'(u0) = fprime_scale * u0 (quadratic
-    nonlinearities).  The multiplier is evaluated at the combined physical
-    frequencies.  The matrix states xi_power 2, a symbol smooth at
-    theta = 0, whatever ``sym`` is; the slopes of a BO wave come from
-    bo_assembler."""
-    inner = lambda theta: symbol_sign * np.asarray(sym(theta), dtype=float)
+                      fprime_scale: float = 2.0) -> BlochMatrix:
+    """L_xi = e^{-i xi z} d/dz (-M + c + f'(u0)) e^{i xi z} for a nonlocal
+    equation on the modes |n| <= N, as in whitham_assembler and
+    bo_assembler.  ``wave_samples`` are u0 on a uniform period grid;
+    f'(u0) = fprime_scale * u0 (quadratic nonlinearities).  The multiplier
+    is evaluated at the combined physical frequencies.  The matrix states
+    xi_power 2, a symbol smooth at theta = 0, whatever ``sym`` is; the
+    slopes of a BO wave come from bo_assembler."""
+    inner = lambda theta: -np.asarray(sym(theta), dtype=float)
     g = fprime_scale * np.asarray(wave_samples, dtype=float)
     return _bloch_operator(*_sampled_coeffs(g), N, period, inner, c)(xi)
 

@@ -30,7 +30,8 @@ from numpy.polynomial import polynomial as npoly
 from .errors import DegenerateRoots, DomainError, flag_rows
 
 TOL_ROOT = 1e-9          # realness/multiplicity decisions, relative to coeff norm
-SCHAMEL_EXPONENT = 1.5   # f(u) = power_coeff * |u|^SCHAMEL_EXPONENT
+SCHAMEL_COEFF = 2.5      # f(u) = SCHAMEL_COEFF * |u|^SCHAMEL_EXPONENT
+SCHAMEL_EXPONENT = 1.5
 
 
 @dataclass(frozen=True)
@@ -39,14 +40,14 @@ class EquationSpec:
 
     kind is "local-polynomial" or "local-power".  For local-polynomial
     equations ``f_coeffs`` are the ascending coefficients of f.  The power
-    law is ``f(u) = power_coeff * |u|^{3/2}`` (Schamel: 5/2 |u|^{3/2});
-    its profiles are positive and handled through u = v^2.
+    law is Schamel's ``f(u) = 5/2 |u|^{3/2}`` (SCHAMEL_COEFF,
+    SCHAMEL_EXPONENT); its profiles are positive and handled through
+    u = v^2.
     """
 
     kind: str
     name: str = ""
     f_coeffs: tuple = ()
-    power_coeff: float = 2.5
 
     def __post_init__(self):
         if self.kind not in ("local-polynomial", "local-power"):
@@ -67,7 +68,7 @@ class EquationSpec:
         if self.kind == "local-polynomial":
             der = npoly.polyder(np.asarray(self.f_coeffs, dtype=float))
             return lambda u: npoly.polyval(np.asarray(u, dtype=float), der)
-        p, s = SCHAMEL_EXPONENT, self.power_coeff
+        p, s = SCHAMEL_EXPONENT, SCHAMEL_COEFF
         return lambda u: s * p * np.asarray(u, dtype=float) ** (p - 1.0)
 
 
@@ -146,9 +147,6 @@ class PotentialPolynomial:
     def __call__(self, w):
         return polyval(self.coeffs, w)
 
-    def derivative_coeffs(self) -> np.ndarray:
-        return npoly.polyder(np.asarray(self.coeffs))
-
     @property
     def coeff_norm(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
@@ -219,7 +217,7 @@ def effective_potential(spec: EquationSpec, a: float, c: float, u) -> float:
         F = npoly.polyval(u, spec.F_coeffs())
     else:
         p1 = SCHAMEL_EXPONENT + 1.0
-        F = spec.power_coeff / p1 * np.abs(u) ** p1
+        F = SCHAMEL_COEFF / p1 * np.abs(u) ** p1
     out = F + 0.5 * c * u ** 2 - a * u
     return float(out) if out.ndim == 0 else out
 
@@ -240,7 +238,7 @@ def potential_polynomial(spec: EquationSpec, params: WaveParams) -> PotentialPol
         coeffs[..., 2] -= 0.5 * c
         return PotentialPolynomial(coeffs if batch else tuple(coeffs), var="u")
     # u = v^2:  P_v(v) = E + a v^2 - (c/2) v^4 - (coeff*2/5) v^5
-    lead = spec.power_coeff * 2.0 / 5.0
+    lead = SCHAMEL_COEFF * 2.0 / 5.0
     coeffs = (E, 0.0, a, 0.0, -0.5 * c, -lead)
     if batch:
         coeffs = np.stack([np.broadcast_to(x, a.shape) for x in coeffs], axis=-1)

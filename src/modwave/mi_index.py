@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conventions import fingerprint
-from .equations import (EquationSpec, WaveParams, discriminant, mkdv_spec,
-                        potential_polynomial, potential_roots)
+from .equations import (EquationSpec, WaveParams, companion_roots, discriminant,
+                        mkdv_spec, potential_polynomial, potential_roots)
 from .errors import DegenerateDiscriminant, DegenerateRoots, HypothesisFailed, flag_rows
 from .picard_fuchs import ParamJacobian, param_jacobian
 
@@ -41,14 +41,12 @@ def _index_parts(J: ParamJacobian):
 
 def _index(S, D):
     """Delta_MI and the depressed-cubic roots sorted by (Re, Im) for arrays
-    S, D.  The roots are the eigenvalues of the companion matrices that
-    numpy.roots builds for [-1, 0, S/2, -D/2] (first row -p[1:]/p[0] =
-    (0, S/2, -D/2); D != 0 once the hypotheses hold), stacked."""
+    S, D: the roots of -D/2 + (S/2) nu - nu^3 as numpy.roots finds them
+    (companion_roots)."""
     S, D = np.atleast_1d(S), np.atleast_1d(D)
-    A = np.zeros((len(S), 3, 3))
-    A[:, 1, 0] = A[:, 2, 1] = 1.0
-    A[:, 0, 1], A[:, 0, 2] = 0.5 * S, -0.5 * D
-    return 0.5 * S ** 3 - 6.75 * D ** 2, np.sort_complex(np.linalg.eigvals(A))
+    coeffs = np.empty((len(S), 4))
+    coeffs[:, 0], coeffs[:, 1], coeffs[:, 2], coeffs[:, 3] = -0.5 * D, 0.5 * S, 0.0, -1.0
+    return 0.5 * S ** 3 - 6.75 * D ** 2, np.sort_complex(companion_roots(coeffs))
 
 
 def _hypothesis_failures(J: ParamJacobian) -> dict:
@@ -106,8 +104,7 @@ def _tol_deg(S, D):
     return 1e-8 * np.maximum(np.maximum(np.abs(S) ** 3, 6.75 * D * D), 1.0)
 
 
-def classify(spec: EquationSpec, params: WaveParams, branch: int = 0,
-             tol_quad: float = None):
+def classify(spec: EquationSpec, params: WaveParams, branch: int = 0):
     """Full pipeline: classification -> quadrature -> Picard-Fuchs ->
     Delta_MI and the cubic roots.  Near-zero indices report as degenerate,
     upstream nondegeneracy failures as hypothesis-failed.  A batch of
@@ -115,7 +112,7 @@ def classify(spec: EquationSpec, params: WaveParams, branch: int = 0,
     wave gets its own hypothesis-failed report and leaves the others as
     they would be alone."""
     diagnostics = {"convention_fingerprint": fingerprint(), "branch": branch}
-    J = param_jacobian(spec, params.as_batch(), branch=branch, tol_quad=tol_quad)
+    J = param_jacobian(spec, params.as_batch(), branch=branch)
     reasons = {i: f"{type(exc).__name__}: {exc}" for i, exc in J.failures.items()}
     for i, exc in _hypothesis_failures(J).items():
         reasons.setdefault(i, str(exc))

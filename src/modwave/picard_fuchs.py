@@ -209,11 +209,9 @@ def moment_jacobian(moments: MomentTable) -> ParamJacobian:
     return ParamJacobian.from_matrix(J, T, M, P, cond=system.cond, failures=system.failures)
 
 
-def param_jacobian(spec: EquationSpec, params: WaveParams, branch: int = 0,
-                   tol_quad: float = None) -> ParamJacobian:
+def param_jacobian(spec: EquationSpec, params: WaveParams, branch: int = 0) -> ParamJacobian:
     """Full pipeline: moments (zeta_moments, to the equation's moment
     demand) -> moment_jacobian.  A batch of parameters gives a batch
     ParamJacobian."""
-    kw = {} if tol_quad is None else {"tol_quad": tol_quad}
-    out = moment_jacobian(zeta_moments(spec, params.as_batch(), None, branch, **kw))
+    out = moment_jacobian(zeta_moments(spec, params.as_batch(), None, branch))
     return out if params.is_batch else out.row(0)

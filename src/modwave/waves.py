@@ -42,9 +42,9 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .equations import (Classification, EquationSpec, PotentialPolynomial,
-                        WaveParams, classify_parameters, polyval,
-                        potential_polynomial)
+from .equations import (SCHAMEL_COEFF, Classification, EquationSpec,
+                        PotentialPolynomial, WaveParams, classify_parameters,
+                        polyval, potential_polynomial)
 from .errors import (DegenerateRoots, DomainError, NoBoundedOrbit,
                      QuadratureFailure, ResolutionError, flag_rows)
 
@@ -228,7 +228,7 @@ def quadrature_TMPH(spec: EquationSpec, params: WaveParams, branch: int = 0,
         h = np.asarray(poly.coeffs) - spec.F_coeffs()
     else:
         h = np.array([0.0, *poly.coeffs])
-        h[-1] -= spec.power_coeff * 2.0 / 5.0
+        h[-1] -= SCHAMEL_COEFF * 2.0 / 5.0
     table = zeta_moments(spec, params, len(h) - 1, branch, tol_quad)
     T, M, P = map(float, table.tmp)
     return T, M, P, float(h @ table.zeta)
@@ -265,22 +265,6 @@ class WaveProfile:
         return self.evaluator(z)
 
 
-def _dz_dtheta(poly: PotentialPolynomial, lo: float, hi: float):
-    """h(theta) = dz/dtheta = sqrt(2) mu(w)/sqrt(G(w(theta))) in closed form
-    along w = lo + (hi - lo) sin^2(theta).  mu is the moment measure of
-    zeta_moments: 1 in u, 2v for the Schamel substitution u = v^2
-    (dz = 2v dv / sqrt(2 P_v)).  h is even and pi-periodic."""
-    G = _reduced_poly(poly.coeffs, lo, hi)
-    square = poly.var == "v"
-
-    def h(theta):
-        w = lo + (hi - lo) * np.sin(theta) ** 2
-        r = SQRT2 / np.sqrt(npoly.polyval(w, G))
-        return 2.0 * w * r if square else r
-
-    return h
-
-
 def fourier_coefficients(profile: WaveProfile, fn: Callable[[np.ndarray], np.ndarray],
                          k_max: int):
     """Fourier coefficients g_k, k = 0..k_max, of g = fn(u(z)) over one
@@ -310,12 +294,17 @@ def _theta_sums(profile: WaveProfile, fn: Callable[[np.ndarray], np.ndarray]):
     the one a fresh call gives."""
     cls, poly = profile.classification, profile.moments.poly
     lo, hi = cls.w_minus, cls.w_plus
-    h = _dz_dtheta(poly, lo, hi)
+    G = _reduced_poly(poly.coeffs, lo, hi)
     square = poly.var == "v"
 
     def nodes(theta):
+        """h = dz/dtheta = sqrt(2) mu(w)/sqrt(G(w)) and fn(u) at theta, along
+        w = lo + (hi - lo) sin^2(theta).  mu is the moment measure of
+        zeta_moments: 1 in u, 2v for the Schamel substitution u = v^2
+        (dz = 2v dv / sqrt(2 P_v)).  h is even and pi-periodic."""
         w = lo + (hi - lo) * np.sin(theta) ** 2
-        return h(theta), fn(w * w if square else w)
+        r = SQRT2 / np.sqrt(npoly.polyval(w, G))
+        return (2.0 * w * r, fn(w * w)) if square else (r, fn(w))
 
     m = THETA_NODES
     hv, gv = nodes(np.arange(m + 1) * (np.pi / (2 * m)))

@@ -12,7 +12,7 @@ from conftest import (sample_kdv, sample_mkdv_defocusing, sample_mkdv_focusing_c
                       sample_schamel)
 from modwave import (WaveParams, classify, kdv_params_from_roots, kdv_spec,
                      mkdv_spec, quadrature_TMPH, schamel_spec, zeta_moments)
-from modwave.equations import effective_potential
+from modwave.equations import SCHAMEL_COEFF, effective_potential
 from modwave.waves import QUAD_NODES
 
 SPECS = {"kdv": kdv_spec(), "mkdv-focusing": mkdv_spec(+1),
@@ -51,7 +51,7 @@ def _critical_point(spec, u0, c):
     = 0): a point on the discriminant variety."""
     if spec.kind == "local-power":
         u0 = abs(u0) + 0.1
-        a = spec.power_coeff * u0 ** 1.5 + c * u0
+        a = SCHAMEL_COEFF * u0 ** 1.5 + c * u0
     else:
         a = float(np.polynomial.polynomial.polyval(u0, spec.f_coeffs)) + c * u0
     return a, float(effective_potential(spec, a, c, u0)), c

@@ -15,9 +15,9 @@ from modwave.smallamp import omega
 
 def _kdv_operator(samples, c, xi, N, T):
     """L_xi = d/dz(d^2/dz^2 + c + u0) of KdV (f' = u) on uniform samples of
-    u0: the fKdV symbol |theta|^2 with sign -1 is the local -theta^2."""
+    u0: the fKdV symbol |theta|^2 enters as -|theta|^2, the local -theta^2."""
     return assemble_nonlocal(fkdv_symbol(2.0), samples, c, xi, N, T,
-                             fprime_scale=1.0, symbol_sign=-1.0)
+                             fprime_scale=1.0)
 
 
 def test_constant_state_dispersion_relation():
@@ -228,7 +228,7 @@ def test_fixed_size_tail_is_summed_from_the_top():
     # total; total minus kept would read the rounding floor, 2e-16
     params, N = BOWaveParams(0.0, 1.0, -2.0), 64
     u = bo_eval(params, _grid(params.period, N))
-    bm = assemble_nonlocal(bo_symbol(), u, params.c, 1e-2, N, params.period, symbol_sign=-1.0)
+    bm = assemble_nonlocal(bo_symbol(), u, params.c, 1e-2, N, params.period)
     assert bm.N == N and bm.tail < 1e-28
 
 
@@ -319,7 +319,7 @@ def _nonlocal_case():
     params, N = BOWaveParams(0.0, 1.3, -2.0), 32
     u = bo_eval(params, _grid(params.period, N))
     asm = lambda xi: assemble_nonlocal(bo_symbol(), u, params.c, xi, N, params.period,
-                                       fprime_scale=3.0, symbol_sign=-1.0)
+                                       fprime_scale=3.0)
     inner = lambda th: -np.asarray(bo_symbol()(th), float)
     return asm, (3.0 * u, N, params.period, inner, params.c)
 
@@ -339,7 +339,7 @@ def test_assemble_nonlocal_raw_interface_matches_bo():
     N, xi = 32, 0.01
     u = bo_eval(params, _grid(params.period, N))
     raw = assemble_nonlocal(bo_symbol(), u, params.c, xi, N, params.period,
-                            fprime_scale=2.0, symbol_sign=-1.0)
+                            fprime_scale=2.0)
     ref = bo_assembler(params, N=32)(xi)
     scale = np.max(np.abs(ref.matrix))
     assert np.max(np.abs(raw.matrix - ref.matrix)) < 1e-12 * scale
@@ -376,7 +376,7 @@ def test_uneven_coefficient_keeps_complex_arithmetic():
     z = _grid(params.period, N)
     for xi in (1e-2, 0.2):
         even, shifted = (assemble_nonlocal(bo_symbol(), bo_eval(params, z + shift), params.c,
-                                           xi, N, params.period, symbol_sign=-1.0)
+                                           xi, N, params.period)
                          for shift in (0.0, 0.3))
         assert even.operator.dtype == np.float64
         assert shifted.operator.dtype == np.complex128
