@@ -36,6 +36,6 @@ from .smallamp import (DispersionSymbol, StokesWave, benjamin_feir_cutoff,
                        ilw_symbol, lambda_fkdv, lambda_index, lambda_oracle,
                        lambda_oracle_normalized, mxi_matrix, omega,
                        stokes_expand, stokes_residual, whitham_symbol)
-from .bloch import (BlochMatrix, assemble_local, assemble_nonlocal,
-                    bo_assembler, instability_bubble_scan, local_assembler,
-                    match_slope_sets, modulation_slopes, whitham_assembler)
+from .bloch import (BlochMatrix, assemble_nonlocal, bo_assembler,
+                    instability_bubble_scan, local_assembler, match_slope_sets,
+                    modulation_slopes, whitham_assembler)

@@ -122,10 +122,13 @@ def _truncation(coeffs: np.ndarray, total: float, N: int, floor: float | None = 
     total minus that of the kept modes by Parseval's identity, is above
     TAIL_TOL of the total, ResolutionError.  That difference sits on the
     rounding floor, so the reported fraction is summed from the top over
-    the computed coefficients, n < |k| <= min(2N, (len - 1) // 2).  With a
-    floor, n is the smallest size >= 1 (the modes 0 and +-1 of the
-    modulation triple) whose fraction is at most the floor, or N if none
-    is; without one, n = N."""
+    the computed coefficients, n < |k| <= min(2N, (len - 1) // 2).  A
+    non-finite total or coefficient is refused as well.  With a floor, n
+    is the smallest size >= 1 (the modes 0 and +-1 of the modulation
+    triple) whose fraction is at most the floor, or N if none is; without
+    one, n = N."""
+    if not (np.isfinite(total) and np.isfinite(coeffs).all()):
+        raise ResolutionError("non-finite Fourier coefficients of the Bloch coefficient")
     if len(coeffs) > 2 * N + 1:
         loss = total - np.sum(np.abs(coeffs[np.arange(-N, N + 1)]) ** 2)
         if loss > TAIL_TOL * total:
@@ -205,11 +208,6 @@ def local_assembler(profile: WaveProfile, N: int = 64) -> Callable[[float], Bloc
     coeffs = np.concatenate([gk, np.conj(gk[:0:-1])])     # k = 0..2N, -2N..-1
     return _bloch_operator(coeffs, total, N, profile.period, lambda theta: -theta ** 2,
                            profile.params.c, floor=np.finfo(float).eps)
-
-
-def assemble_local(profile: WaveProfile, xi: float, N: int = 64) -> BlochMatrix:
-    """L_xi of a local wave at one xi (see local_assembler)."""
-    return local_assembler(profile, N)(xi)
 
 
 def assemble_nonlocal(sym: DispersionSymbol, wave_samples: np.ndarray,

@@ -19,6 +19,7 @@ stability of every wave in the family.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +39,10 @@ class BOWaveParams:
     c: float
 
     def __post_init__(self):
-        if not (self.c < 0.0 and self.k > 0.0 and self.k ** 2 < self.c ** 2 - 4 * self.a):
-            raise ConstraintViolation(
-                f"need c < 0 and k^2 < c^2 - 4a; got a={self.a}, k={self.k}, c={self.c}")
+        if not (all(map(math.isfinite, (self.a, self.k, self.c))) and self.c < 0.0
+                and self.k > 0.0 and self.k ** 2 < self.c ** 2 - 4 * self.a):
+            raise ConstraintViolation(f"need finite a, k, c with c < 0 and k^2 < c^2 - 4a; "
+                                      f"got a={self.a}, k={self.k}, c={self.c}")
 
     @property
     def period(self) -> float:

@@ -269,7 +269,8 @@ def fourier_coefficients(profile: WaveProfile, fn: Callable[[np.ndarray], np.nda
                          k_max: int):
     """Fourier coefficients g_k, k = 0..k_max, of g = fn(u(z)) over one
     period, and the total energy (1/T) int |g|^2 dz, for a profile from
-    resolve_profile.  Nothing is inverted.
+    resolve_profile.  Nothing is inverted, and nothing is kept between
+    calls.
 
     theta in [0, pi) covers one period, with z = Z(theta), Z' = h and u(theta)
     in closed form.  On the nodes theta_j = j pi/(2m), Z is the spectral
@@ -277,84 +278,59 @@ def fourier_coefficients(profile: WaveProfile, fn: Callable[[np.ndarray], np.nda
     g_k = (1/T) int_0^pi fn(u) e^{-2 pi i k Z/T} h dtheta is pi-periodic and
     its real part even, so g_k = (2/T) sum_trap[0, pi/2] fn(u) cos(2 pi k Z/T) h:
     a periodic trapezoid sum, geometrically convergent like the moments'.
-    m starts at THETA_NODES and doubles (reusing the old nodes) while
-    max |g^m - g^(m/2)| or the change of the total energy against the half
-    grid exceeds THETA_TOL relative; past QUAD_MAX_NODES it raises
+    Each level m is summed afresh, starting at THETA_NODES against the half
+    grid m/2; m doubles while max |g^m - g^(m/2)| or the change of the total
+    energy exceeds THETA_TOL relative, and past QUAD_MAX_NODES it raises
     ResolutionError.  A profile translated by z0 gets g_k e^{-2 pi i k z0/T}.
     """
-    return _theta_sums(profile, fn)(k_max)
-
-
-def _theta_sums(profile: WaveProfile, fn: Callable[[np.ndarray], np.ndarray]):
-    """k_max -> fourier_coefficients(profile, fn, k_max), keeping the theta
-    nodes between calls: a call starts its doubling at the level the
-    previous call converged at, not at THETA_NODES.  When the largest
-    |g_k| has k within the previous k_max, every lower level fails the new
-    test too (it checks those k against the same scale), so the result is
-    the one a fresh call gives."""
     cls, poly = profile.classification, profile.moments.poly
     lo, hi = cls.w_minus, cls.w_plus
     G = _reduced_poly(poly.coeffs, lo, hi)
-    square = poly.var == "v"
+    # k = B a + b: e^{i k phase} = e^{i B a phase} e^{i b phase}, so the sums
+    # for every k are one product of an (a x nodes) and a (nodes x b) matrix
+    B = int(np.ceil(np.sqrt(k_max + 1)))
+    low, high = np.arange(B), B * np.arange((k_max + B) // B)
+    block = max(1, QUAD_BUDGET // (len(low) + len(high)))     # nodes per block
 
-    def nodes(theta):
-        """h = dz/dtheta = sqrt(2) mu(w)/sqrt(G(w)) and fn(u) at theta, along
-        w = lo + (hi - lo) sin^2(theta).  mu is the moment measure of
-        zeta_moments: 1 in u, 2v for the Schamel substitution u = v^2
-        (dz = 2v dv / sqrt(2 P_v)).  h is even and pi-periodic."""
-        w = lo + (hi - lo) * np.sin(theta) ** 2
+    def level(m):
+        """(g_k, total energy, T) from the trapezoid sums on theta_j, j = 0..m.
+        h = dz/dtheta = sqrt(2) mu(w)/sqrt(G(w)) along w = lo + (hi - lo)
+        sin^2(theta), with mu the moment measure of zeta_moments: 1 in u, 2v
+        for the Schamel substitution u = v^2 (dz = 2v dv / sqrt(2 P_v))."""
+        w = lo + (hi - lo) * np.sin(np.arange(m + 1) * (np.pi / (2 * m))) ** 2
         r = SQRT2 / np.sqrt(npoly.polyval(w, G))
-        return (2.0 * w * r, fn(w * w)) if square else (r, fn(w))
+        hv, gv = (2.0 * w * r, fn(w * w)) if poly.var == "v" else (r, fn(w))
+        wh = hv.copy()
+        wh[[0, -1]] *= 0.5                           # trapezoid weights on [0, pi/2]
+        norm = wh.sum()                              # m * mean of h over [0, pi)
+        T = np.pi * norm / m
+        H = np.fft.rfft(np.concatenate([hv, hv[-2:0:-1]]))     # h on [0, pi)
+        H[1:m] /= 2j * np.arange(1, m)
+        # the mean gives the linear part T theta/pi; the Nyquist mode's
+        # antiderivative vanishes on the nodes
+        H[0] = H[m] = 0.0
+        Z = np.fft.irfft(H, 2 * m)[:m + 1] + (T / (2 * m)) * np.arange(m + 1)
+        phase = (2.0 * np.pi / T) * Z
+        wg = wh * gv
+        acc = np.zeros((len(high), len(low)))
+        for s in range(0, m + 1, block):
+            p = phase[s:s + block]
+            acc += ((np.exp(1j * np.outer(high, p)) * wg[s:s + block])
+                    @ np.exp(1j * np.outer(low, p)).T).real
+        return acc.ravel()[:k_max + 1] / norm, float(wg @ gv) / norm, T
 
     m = THETA_NODES
-    hv, gv = nodes(np.arange(m + 1) * (np.pi / (2 * m)))
-
-    def coefficients(k_max: int):
-        nonlocal m, hv, gv
-        # k = B a + b: e^{i k phase} = e^{i B a phase} e^{i b phase}, so the
-        # sums for every k are one product of an (a x nodes) and a
-        # (nodes x b) matrix
-        B = int(np.ceil(np.sqrt(k_max + 1)))
-        low, high = np.arange(B), B * np.arange((k_max + B) // B)
-        block = max(1, QUAD_BUDGET // (len(low) + len(high)))     # nodes per block
-
-        def sums(hv, gv):
-            """(g_k, total energy, T) from h and g at theta_j, j = 0..m."""
-            m = len(hv) - 1
-            wh = hv.copy()
-            wh[[0, -1]] *= 0.5                       # trapezoid weights on [0, pi/2]
-            norm = wh.sum()                          # m * mean of h over [0, pi)
-            T = np.pi * norm / m
-            H = np.fft.rfft(np.concatenate([hv, hv[-2:0:-1]]))     # h on [0, pi)
-            H[1:m] /= 2j * np.arange(1, m)
-            # the mean gives the linear part T theta/pi; the Nyquist mode's
-            # antiderivative vanishes on the nodes
-            H[0] = H[m] = 0.0
-            Z = np.fft.irfft(H, 2 * m)[:m + 1] + (T / (2 * m)) * np.arange(m + 1)
-            phase = (2.0 * np.pi / T) * Z
-            wg = wh * gv
-            acc = np.zeros((len(high), len(low)))
-            for s in range(0, m + 1, block):
-                p = phase[s:s + block]
-                acc += ((np.exp(1j * np.outer(high, p)) * wg[s:s + block])
-                        @ np.exp(1j * np.outer(low, p)).T).real
-            return acc.ravel()[:k_max + 1] / norm, float(wg @ gv) / norm, T
-
-        prev = sums(hv[::2], gv[::2])
-        while True:
-            gk, total, T = cur = sums(hv, gv)
-            if (np.max(np.abs(gk - prev[0])) <= THETA_TOL * np.max(np.abs(gk))
-                    and abs(total - prev[1]) <= THETA_TOL * total):
-                break
-            if m >= QUAD_MAX_NODES:
-                raise ResolutionError(f"theta-node Fourier sums not converged at {m} intervals")
-            at, mid = np.arange(1, m + 1), nodes((np.arange(m) + 0.5) * (np.pi / (2 * m)))
-            hv, gv = (np.insert(old, at, new) for old, new in zip((hv, gv), mid))
-            m, prev = 2 * m, cur
-        z0 = profile.params.z0
-        return (gk * np.exp(-2j * np.pi * np.arange(k_max + 1) * z0 / T) if z0 else gk), total
-
-    return coefficients
+    prev = level(m // 2)
+    while True:
+        gk, total, T = cur = level(m)
+        if (np.max(np.abs(gk - prev[0])) <= THETA_TOL * np.max(np.abs(gk))
+                and abs(total - prev[1]) <= THETA_TOL * total):
+            break
+        if m >= QUAD_MAX_NODES:
+            raise ResolutionError(f"theta-node Fourier sums not converged at {m} intervals")
+        m, prev = 2 * m, cur
+    z0 = profile.params.z0
+    return (gk * np.exp(-2j * np.pi * np.arange(k_max + 1) * z0 / T) if z0 else gk), total
 
 
 def resolve_profile(spec: EquationSpec, params: WaveParams, branch: int = 0) -> WaveProfile:
@@ -367,19 +343,20 @@ def resolve_profile(spec: EquationSpec, params: WaveParams, branch: int = 0) -> 
     with u_k = fourier_coefficients(profile, identity, K) summed on the
     theta nodes when the evaluator is first called, and cached.  K starts
     at QUAD_NODES and doubles while the top half of the kept modes holds a
-    |u_k| above THETA_TOL * max |u_k|; past QUAD_MAX_NODES it raises
-    ResolutionError.  All the K share one set of theta nodes (_theta_sums),
-    so each doubling resumes the node refinement where the last converged.
-    The series is summed by Horner's rule in e^{2 pi i z/T}, one pass over
-    the points per mode.
+    |u_k| above THETA_TOL * max |u_k|, one fourier_coefficients call per K;
+    past QUAD_MAX_NODES it raises ResolutionError.  The series is summed by
+    Horner's rule in e^{2 pi i z/T}, one pass over the points per mode.
+    Batch parameters raise DomainError.
     """
+    if params.is_batch:
+        raise DomainError("resolve_profile takes the parameters of one wave")
     moments = zeta_moments(spec, params, None, branch)
     series = []
 
     def u_series():
-        coefficients, K = _theta_sums(profile, lambda u: u), QUAD_NODES
+        K = QUAD_NODES
         while True:
-            uk = coefficients(K)[0]
+            uk = fourier_coefficients(profile, lambda u: u, K)[0]
             size = np.abs(uk)
             if np.max(size[K // 2:]) <= THETA_TOL * np.max(size):
                 return uk

@@ -17,7 +17,7 @@ from modwave import (BOWaveParams, WaveParams, bo_conserved,
                      mkdv_root_classifier, mkdv_spec, modulation_slope_prediction,
                      moment_jacobian, param_jacobian, potential_polynomial, potential_roots,
                      resolve_profile, schamel_spec, whitham_symbol)
-from modwave.bloch import (assemble_local, bo_assembler, local_assembler,
+from modwave.bloch import (bo_assembler, local_assembler,
                            match_slope_sets, modulation_slopes)
 
 
@@ -214,8 +214,8 @@ def test_criterion_11_invariant_suites():
         prof = resolve_profile(kdv, kdv_params_from_roots(3.0, 1.0, 0.0))
         xi = 0.05
         by_imag = lambda ev: ev[np.argsort(ev.imag)]
-        ev_p = by_imag(assemble_local(prof, xi, 40).eigenvalues())
-        ev_m = by_imag(np.conj(assemble_local(prof, -xi, 40).eigenvalues()))
+        ev_p = by_imag(local_assembler(prof, 40)(xi).eigenvalues())
+        ev_m = by_imag(np.conj(local_assembler(prof, 40)(-xi).eigenvalues()))
         scale = np.max(np.abs(ev_p))
         assert np.max(np.abs(ev_p - ev_m)) < 1e-8 * scale
         assert np.max(np.abs(ev_p - by_imag(-np.conj(ev_p)))) < 1e-8 * scale

@@ -6,7 +6,7 @@ from modwave import (BOWaveParams, WaveParams, bo_eval, bo_modulation_speeds,
                      bo_symbol, fkdv_symbol, kdv_params_from_roots, kdv_spec, mkdv_spec,
                      modulation_slope_prediction, param_jacobian, resolve_profile,
                      schamel_spec, stokes_expand, whitham_symbol)
-from modwave.bloch import (BO_TAIL_FLOOR, assemble_local, assemble_nonlocal, bo_assembler,
+from modwave.bloch import (BO_TAIL_FLOOR, _truncation, assemble_nonlocal, bo_assembler,
                            instability_bubble_scan, local_assembler,
                            match_slope_sets, modulation_slopes, whitham_assembler)
 from modwave.errors import ResolutionError
@@ -55,7 +55,7 @@ def test_zero_frequency_row_vanishes(kdv, kdv_wave310):
 
 def test_triple_zero_at_xi0(kdv, kdv_wave310):
     prof = resolve_profile(kdv, kdv_wave310)
-    ev = assemble_local(prof, 0.0, 48).eigenvalues()
+    ev = local_assembler(prof, 48)(0.0).eigenvalues()
     scale = np.max(np.abs(ev))
     assert np.sum(np.abs(ev) < 1e-6 * scale) == 3
 
@@ -66,8 +66,8 @@ def test_spectral_symmetries(kdv, kdv_wave310):
     prof = resolve_profile(kdv, kdv_wave310)
     xi = 0.05
     by_imag = lambda ev: ev[np.argsort(ev.imag)]
-    ev_p = by_imag(assemble_local(prof, xi, 40).eigenvalues())
-    ev_m = by_imag(np.conj(assemble_local(prof, -xi, 40).eigenvalues()))
+    ev_p = by_imag(local_assembler(prof, 40)(xi).eigenvalues())
+    ev_m = by_imag(np.conj(local_assembler(prof, 40)(-xi).eigenvalues()))
     scale = np.max(np.abs(ev_p))
     assert np.max(np.abs(ev_p - ev_m)) < 1e-8 * scale
     # lambda -> -conj(lambda) invariance of the same-xi spectrum
@@ -254,26 +254,38 @@ def test_near_solitary_wave_fails_the_tail_test():
 def test_local_assembler_never_inverts_a_resolved_profile(kdv, kdv_wave310, monkeypatch):
     # the coefficients of f'(u) come from the theta nodes, once per
     # assembler, and the profile's evaluator is never called on the Bloch
-    # path; the evaluator sums its own series of u on one set of theta
-    # nodes when first called and keeps it
+    # path; the evaluator sums its own series of u, one fourier_coefficients
+    # call per K it tries, when first called and keeps it
     import modwave.bloch
     import modwave.waves
+    from modwave.waves import QUAD_NODES
     prof = resolve_profile(kdv, kdv_wave310)
-    calls, bloch_sums, node_sets = [], [], []
+    calls, bloch_sums, series_sums = [], [], []
     evaluate = prof.evaluator
     prof.evaluator = lambda z: calls.append(np.size(z)) or evaluate(z)
-    coefficients, theta_sums = modwave.bloch.fourier_coefficients, modwave.waves._theta_sums
+    coefficients = modwave.waves.fourier_coefficients
     monkeypatch.setattr(modwave.bloch, "fourier_coefficients",
                         lambda *a: bloch_sums.append(a[2]) or coefficients(*a))
-    monkeypatch.setattr(modwave.waves, "_theta_sums",
-                        lambda *a: node_sets.append(a) or theta_sums(*a))
+    monkeypatch.setattr(modwave.waves, "fourier_coefficients",
+                        lambda *a: series_sums.append(a[2]) or coefficients(*a))
     asm = local_assembler(prof, N=48)
     modulation_slopes(asm)
     instability_bubble_scan(asm, [0.01, 0.02, 0.03])
-    assert calls == [] and bloch_sums == [2 * 48] and len(node_sets) == 1
+    assert calls == [] and bloch_sums == [2 * 48] and series_sums == []
     first = prof(0.3)                            # the evaluator still works when called
-    assert calls == [1] and len(node_sets) == 2
-    assert prof(0.3) == first and len(node_sets) == 2
+    assert calls == [1] and bloch_sums == [2 * 48]
+    assert series_sums == [QUAD_NODES * 2 ** i for i in range(len(series_sums))]
+    tried = list(series_sums)
+    assert tried and prof(0.3) == first and series_sums == tried
+
+
+def test_truncation_refuses_non_finite_coefficients():
+    coeffs = np.zeros(9, dtype=complex)
+    coeffs[0], coeffs[2] = 1.0, np.nan
+    with pytest.raises(ResolutionError, match="non-finite"):
+        _truncation(coeffs, 1.0, 2)
+    with pytest.raises(ResolutionError, match="non-finite"):
+        _truncation(np.ones(9, dtype=complex), np.inf, 2)
 
 
 def _grid(period, N):

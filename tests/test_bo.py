@@ -27,6 +27,14 @@ def test_constraints():
         BOWaveParams(1.5, 2.0, -2.0)        # k^2 > c^2 - 4a
 
 
+@pytest.mark.parametrize("a, k, c", [(0.0, 1.0, -np.inf), (-np.inf, 1.0, -2.0),
+                                     (0.0, np.inf, -2.0), (np.nan, 1.0, -2.0)])
+def test_non_finite_parameters_are_refused(a, k, c):
+    # c^2 - 4a = inf would pass the existence test
+    with pytest.raises(ConstraintViolation, match="finite"):
+        BOWaveParams(a, k, c)
+
+
 def test_profile_equation_residual():
     # -Lambda u + c u + u^2 = -a, pseudospectrally
     p = BOWaveParams(-0.3, 1.5, -2.5)

@@ -197,6 +197,16 @@ def test_bloch_check_long_focusing_wave_matches(capsys):
     assert "relative mismatch" in out
 
 
+@pytest.mark.parametrize("option, error", [("--c=-inf", "ConstraintViolation"),
+                                           ("--a=-inf", "ConstraintViolation"),
+                                           ("--k=1e-300", "ResolutionError")])
+def test_bo_bloch_check_on_non_finite_or_degenerate_input_is_an_error_line(option, error,
+                                                                         capsys):
+    code, out, err = run_cli(["bloch-check", "--equation", "bo", option], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {error}: ")
+
+
 def test_bloch_check_negative_modes_is_an_error_line(capsys):
     code, out, err = run_cli(["bloch-check", "--equation", "bo", "--modes", "-3"], capsys)
     assert code == 1 and out == ""

@@ -296,6 +296,13 @@ def test_nonperiodic_error_types(kdv, kdv_wave310):
             resolve(kdv, kdv_wave310, branch=1)              # one interval only
 
 
+def test_batch_parameters_are_refused_by_the_one_wave_routines(kdv):
+    batch = WaveParams(np.array([-0.5, -0.45]), 0.0, -1.5)
+    for resolve in (quadrature_TMPH, resolve_profile):
+        with pytest.raises(DomainError, match=f"{resolve.__name__} takes the parameters of one"):
+            resolve(kdv, batch)
+
+
 def test_quadrature_failure_guard():
     # interval straddling an interior root: reduced polynomial not positive
     from modwave.errors import QuadratureFailure
