@@ -26,14 +26,18 @@ code runs in complex arithmetic.
 
 Every assembler (local, nonlocal, Whitham, Benjamin-Ono) is the one builder
 _bloch_operator with its own Fourier coefficients, period and inner
-symbol.  The coefficient does not depend on xi, so its coefficients are
-computed, checked for resolution (the energy beyond |n| = N, by
-Parseval's identity, at most TAIL_TOL of the total) and turned into the
-Toeplitz block once per wave; each xi then only adds the symbol diagonal
-and scales the rows by theta_n.  A local wave (a profile from
+symbol.  Each hands it one format: the one-sided series g_0..g_{2N} of
+its real coefficient (g_{-k} = conj g_k) and the total energy.  The
+coefficient does not depend on xi, so its coefficients are computed,
+checked for resolution (the energy beyond |n| = N, by Parseval's
+identity, at most TAIL_TOL of the total) and turned into the Toeplitz
+block once per wave; each xi then only adds the symbol diagonal and
+scales the rows by theta_n.  A local wave (a profile from
 resolve_profile) gets the coefficients of f'(u0) from the theta nodes of
-its quadrature (waves.fourier_coefficients) and is never evaluated; BO,
-Whitham and assemble_nonlocal are sampled on a uniform grid and FFT'd.
+its quadrature (waves.fourier_coefficients) and is never evaluated.  BO
+and Whitham waves are never evaluated either: 2u of a BO wave has a
+geometric series and -2w of a Stokes wave three modes, both in closed
+form.  Only assemble_nonlocal, which is handed samples, takes an FFT.
 For a local or BO wave N is a ceiling: one rule (_truncation) builds the
 operator on the fewest modes whose neglected energy, summed from the top
 over the computed coefficients, is at most a floor of the total --
@@ -64,6 +68,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# bo_eval is unused here; perfbench's tracer wraps modwave.bloch.bo_eval by name
 from .bo import BOWaveParams, bo_eval
 from .errors import ResolutionError
 from .smallamp import DispersionSymbol, StokesWave
@@ -72,17 +77,17 @@ from .waves import WaveProfile, fourier_coefficients
 XI0 = 1e-2                     # first Floquet exponent of the slope extrapolation, times 2 pi/T
 SEPARATION = 0.1               # largest |lambda_3|/|lambda_4| at which the triple is taken
 MAX_HALVINGS = 12              # most halvings of the first exponent
-SAMPLES_PER_MODE = 8           # coefficient samples per Fourier mode kept
 TAIL_TOL = 1e-12               # largest energy fraction beyond the kept modes
 # Neglected energy fraction at which a Benjamin-Ono truncation stops
 # growing.  BO slopes are far more sensitive to truncation than local
 # ones, so machine epsilon (the local floor) is too coarse.  Over the 1440
 # BO cases of the bloch-verify benchmark (seeds 1-30, ceilings 48 and 64)
-# the slope error against the closed form has median 5.8e-9 (p95 5.6e-8)
-# at the ceiling; 8.7e-7 (4.6e-6) at an epsilon floor, 26 modes on
-# average; 3.3e-9 (4.1e-8) at this floor, 33 modes on average (15 to 62;
+# the slope error against the closed form has median 7.7e-8 (p95 4.3e-7)
+# at the ceiling; 6.7e-7 (5.4e-6) at an epsilon floor, 26 modes on
+# average; 7.1e-8 (4.4e-7) at this floor, 33 modes on average (15 to 62;
 # neglected amplitude about 1e-10), where the eigensolves cost 0.31 of
-# the ceiling's and the worst case, 2.04e-5, is the ceiling's.
+# the ceiling's (sum of (2n + 1)^3) and the worst case, 1.5e-5, is a wave
+# that reaches the ceiling at every floor.
 BO_TAIL_FLOOR = 1e-20
 # Fourier coefficients whose imaginary parts are at most this fraction of
 # their largest modulus are taken as real (an even coefficient function)
@@ -113,32 +118,28 @@ class BlochMatrix:
         return 1j * np.linalg.eigvals(self.operator)
 
 
-def _truncation(coeffs: np.ndarray, total: float, N: int, floor: float | None = None):
-    """Size n <= N of the truncation of a coefficient with Fourier
-    coefficients ``coeffs`` (index k at k mod len) and total energy
+def _truncation(g: np.ndarray, total: float, N: int, floor: float | None = None):
+    """Size n <= N of the truncation of a real coefficient with Fourier
+    coefficients g_k, k = 0..2N (g_{-k} = conj g_k), and total energy
     (1/T) int |g|^2 dz ``total``, and its energy fraction beyond |k| = n.
 
     The coefficient is refused at N: when the energy beyond |k| = N, the
     total minus that of the kept modes by Parseval's identity, is above
     TAIL_TOL of the total, ResolutionError.  That difference sits on the
     rounding floor, so the reported fraction is summed from the top over
-    the computed coefficients, n < |k| <= min(2N, (len - 1) // 2).  A
-    non-finite total or coefficient is refused as well.  With a floor, n
-    is the smallest size >= 1 (the modes 0 and +-1 of the modulation
-    triple) whose fraction is at most the floor, or N if none is; without
-    one, n = N."""
-    if not (np.isfinite(total) and np.isfinite(coeffs).all()):
+    the given coefficients, n < |k| <= 2N.  A non-finite total or
+    coefficient is refused as well.  With a floor, n is the smallest size
+    >= 1 (the modes 0 and +-1 of the modulation triple) whose fraction is at
+    most the floor, or N if none is; without one, n = N."""
+    if not (np.isfinite(total) and np.isfinite(g).all()):
         raise ResolutionError("non-finite Fourier coefficients of the Bloch coefficient")
-    if len(coeffs) > 2 * N + 1:
-        loss = total - np.sum(np.abs(coeffs[np.arange(-N, N + 1)]) ** 2)
-        if loss > TAIL_TOL * total:
-            raise ResolutionError(
-                f"Fourier tail energy {loss/total:.2e} above {TAIL_TOL:.1e}; increase N")
-    K = max(0, min(2 * N, (len(coeffs) - 1) // 2))        # the top computed mode
-    top = np.arange(K, 0, -1)
-    energy = np.abs(coeffs[top]) ** 2 + np.abs(coeffs[-top]) ** 2
-    # beyond[n] = fraction of the energy at n < |k| <= K, n = 0..max(N, K)
-    beyond = np.concatenate([np.cumsum(energy)[::-1], np.zeros(max(N - K, 0) + 1)])
+    loss = total - np.abs(g[0]) ** 2 - 2.0 * np.sum(np.abs(g[1:N + 1]) ** 2)
+    if loss > TAIL_TOL * total:
+        raise ResolutionError(
+            f"Fourier tail energy {loss/total:.2e} above {TAIL_TOL:.1e}; increase N")
+    energy = 2.0 * np.abs(g[2 * N:0:-1]) ** 2               # |k| = 2N..1
+    # beyond[n] = fraction of the energy at n < |k| <= 2N, n = 0..2N
+    beyond = np.append(np.cumsum(energy)[::-1], 0.0)
     beyond /= total if total > 0 else 1.0
     n = N
     if floor is not None:
@@ -147,30 +148,29 @@ def _truncation(coeffs: np.ndarray, total: float, N: int, floor: float | None = 
     return n, float(beyond[n])
 
 
-def _sampled_coeffs(samples: np.ndarray):
-    """FFT coefficients of a coefficient sampled uniformly on one period, in
-    FFT order, and its total energy (the mean square of the samples)."""
-    samples = np.asarray(samples)
-    return np.fft.fft(samples) / len(samples), float(np.mean(np.abs(samples) ** 2))
-
-
-def _bloch_operator(coeffs: np.ndarray, total: float, N: int, period: float,
+def _bloch_operator(g: np.ndarray, total: float, N: int, period: float,
                     inner: Callable[[np.ndarray], np.ndarray], c: float,
                     floor: float | None = None,
                     xi_power: int = 2) -> Callable[[float], BlochMatrix]:
-    """xi -> L_xi = e^{-i xi z} d/dz (inner + c + g) e^{i xi z} for the
-    coefficient g with Fourier coefficients ``coeffs`` (index k at k mod
-    len, |k| <= 2N at least) and total energy ``total``, on the modes
-    |n| <= n of _truncation(coeffs, total, N, floor): N itself without a
-    floor.  ``inner`` is the symbol of the linear part at the combined
-    frequencies theta_n; ``xi_power`` is 1 when it has a kink at theta = 0
-    (BlochMatrix.xi_power).  The Toeplitz block of g is built here, once; it
-    is real when the coefficients are (to REAL_COEFF_TOL)."""
-    N, tail = _truncation(coeffs, total, N, floor)
-    if np.max(np.abs(coeffs.imag)) <= REAL_COEFF_TOL * np.max(np.abs(coeffs)):
-        coeffs = coeffs.real
+    """xi -> L_xi = e^{-i xi z} d/dz (inner + c + g) e^{i xi z} for the real
+    coefficient g with Fourier coefficients g_k, k = 0, 1, ... (g_{-k} =
+    conj g_k; those past the given ones are zero, and those past 2N are not
+    read) and total energy ``total``, on the modes |n| <= n of
+    _truncation(g, total, N, floor): N itself without a floor.  N < 1 is
+    refused (ResolutionError).  ``inner`` is the symbol of the linear part at
+    the combined frequencies theta_n; ``xi_power`` is 1 when it has a kink
+    at theta = 0 (BlochMatrix.xi_power).  The Toeplitz block of g, g_{m-n}
+    at (m, n), is built here, once; it is real when the g_k are (to
+    REAL_COEFF_TOL)."""
+    if N < 1:
+        raise ResolutionError(f"N >= 1 required, got N = {N}")
+    g = np.concatenate([g, np.zeros(max(0, 2 * N + 1 - len(g)))])
+    N, tail = _truncation(g, total, N, floor)
+    if np.max(np.abs(g.imag)) <= REAL_COEFF_TOL * np.max(np.abs(g)):
+        g = g.real
     ns = np.arange(-N, N + 1)
-    G = coeffs[(ns[:, None] - ns[None, :]) % len(coeffs)]
+    # g_{m-n} at (m, n), read from g_{-2N}..g_{2N} with g_{-k} = conj g_k
+    G = np.concatenate([np.conj(g[2 * N:0:-1]), g[:2 * N + 1]])[np.subtract.outer(ns, ns) + 2 * N]
     freqs = 2.0 * np.pi * ns / period
     diag = np.diag_indices(len(ns))
 
@@ -182,11 +182,6 @@ def _bloch_operator(coeffs: np.ndarray, total: float, N: int, period: float,
         return BlochMatrix(N=N, xi=xi, period=period, operator=A, tail=tail, xi_power=xi_power)
 
     return assembler
-
-
-def _period_grid(period: float, N: int) -> np.ndarray:
-    Ms = SAMPLES_PER_MODE * (2 * N + 1)
-    return np.arange(Ms) * period / Ms
 
 
 def local_assembler(profile: WaveProfile, N: int = 64) -> Callable[[float], BlochMatrix]:
@@ -202,11 +197,9 @@ def local_assembler(profile: WaveProfile, N: int = 64) -> Callable[[float], Bloc
     |k| = n, summed from the top over the computed |g_k|^2, n < |k| <= 2N,
     is at most machine epsilon of the total (_truncation); BlochMatrix.N
     records n."""
-    if N < 1:
-        raise ResolutionError(f"N >= 1 required, got N = {N}")
-    gk, total = fourier_coefficients(profile, profile.spec.fprime(), 2 * N)
-    coeffs = np.concatenate([gk, np.conj(gk[:0:-1])])     # k = 0..2N, -2N..-1
-    return _bloch_operator(coeffs, total, N, profile.period, lambda theta: -theta ** 2,
+    # fourier_coefficients takes no negative k_max; the builder refuses N < 1
+    gk, total = fourier_coefficients(profile, profile.spec.fprime(), max(2 * N, 0))
+    return _bloch_operator(gk, total, N, profile.period, lambda theta: -theta ** 2,
                            profile.params.c, floor=np.finfo(float).eps)
 
 
@@ -215,42 +208,51 @@ def assemble_nonlocal(sym: DispersionSymbol, wave_samples: np.ndarray,
                       fprime_scale: float = 2.0) -> BlochMatrix:
     """L_xi = e^{-i xi z} d/dz (-M + c + f'(u0)) e^{i xi z} for a nonlocal
     equation on the modes |n| <= N, as in whitham_assembler and
-    bo_assembler.  ``wave_samples`` are u0 on a uniform period grid;
-    f'(u0) = fprime_scale * u0 (quadratic nonlinearities).  The multiplier
-    is evaluated at the combined physical frequencies.  The matrix states
-    xi_power 2, a symbol smooth at theta = 0, whatever ``sym`` is; the
-    slopes of a BO wave come from bo_assembler."""
+    bo_assembler.  ``wave_samples`` are u0 on a uniform period grid, whose
+    FFT gives the coefficients; f'(u0) = fprime_scale * u0 (quadratic
+    nonlinearities).  The multiplier is evaluated at the combined physical
+    frequencies.  The matrix states xi_power 2, a symbol smooth at
+    theta = 0, whatever ``sym`` is; the slopes of a BO wave come from
+    bo_assembler."""
     inner = lambda theta: -np.asarray(sym(theta), dtype=float)
     g = fprime_scale * np.asarray(wave_samples, dtype=float)
-    return _bloch_operator(*_sampled_coeffs(g), N, period, inner, c)(xi)
+    return _bloch_operator(np.fft.rfft(g) / len(g), float(np.mean(g ** 2)), N, period,
+                           inner, c)(xi)
 
 
 def whitham_assembler(wave: StokesWave, sym: DispersionSymbol,
                       N: int = 48) -> Callable[[float], BlochMatrix]:
     """xi -> L_xi for a small-amplitude Whitham-type wave in the
     2pi-periodic frame on the modes |n| <= N: L = d/dz(-M_k + c - 2w).
-    xi in [-1/2, 1/2)."""
-    w = wave.profile(_period_grid(2.0 * np.pi, N))
+    xi in [-1/2, 1/2).  The Stokes profile's three modes give -2w's
+    coefficients."""
+    A = wave.A
+    g = np.array([-2.0 * (wave.w0 + A ** 2 * wave.h0), -A, -A ** 2 * wave.h2])
     inner = lambda theta: -np.asarray(sym(wave.k * theta), dtype=float)
-    return _bloch_operator(*_sampled_coeffs(-2.0 * w), N, 2.0 * np.pi, inner, wave.speed)
+    return _bloch_operator(g, g[0] ** 2 + 2.0 * np.sum(g[1:] ** 2), N, 2.0 * np.pi, inner,
+                           wave.speed)
 
 
 def bo_assembler(params: BOWaveParams, N: int = 128) -> Callable[[float], BlochMatrix]:
     """xi -> L_xi for a Benjamin-Ono wave: L = d/dz(-Lambda + c + 2u) in
-    the physical frame (period 2 pi / k).  2u is sampled on 8(2N + 1)
-    points of a period and FFT'd.
+    the physical frame (period 2 pi / k).  2u has the geometric Fourier
+    series g_0 = 2k - (s + c), g_n = 2k rho^|n| with rho =
+    sqrt((s - k)/(s + k)), and total energy g_0^2 + 4k(s - k) (Parseval's
+    identity); the wave is never sampled.
 
     N is a ceiling, as for local_assembler: the wave is refused at N
     (energy beyond |n| = N above TAIL_TOL: ResolutionError), and the
     operator is built on the smallest n <= N whose energy beyond |k| = n,
-    summed from the top over the computed coefficients, n < |k| <= 2N, is
-    at most BO_TAIL_FLOOR of the total (_truncation); BlochMatrix.N
-    records n.  The symbol's kink at theta = 0 makes the slopes a series
-    in xi, not xi^2 (xi_power = 1)."""
-    T = params.period
-    u = bo_eval(params, _period_grid(T, N))
-    return _bloch_operator(*_sampled_coeffs(2.0 * u), N, T, lambda theta: -np.abs(theta),
-                           params.c, floor=BO_TAIL_FLOOR, xi_power=1)
+    summed from the top over the coefficients n < |k| <= 2N, is at most
+    BO_TAIL_FLOOR of the total (_truncation); BlochMatrix.N records n.  The
+    symbol's kink at theta = 0 makes the slopes a series in xi, not xi^2
+    (xi_power = 1)."""
+    k, s = params.k, params.s
+    g0 = 2.0 * k - (s + params.c)
+    g = np.append(g0, 2.0 * k * np.sqrt((s - k) / (s + k)) ** np.arange(1, 2 * N + 1))
+    return _bloch_operator(g, g0 ** 2 + 4.0 * k * (s - k), N, params.period,
+                           lambda theta: -np.abs(theta), params.c, floor=BO_TAIL_FLOOR,
+                           xi_power=1)
 
 
 def modulation_slopes(assembler: Callable[[float], BlochMatrix]) -> np.ndarray:

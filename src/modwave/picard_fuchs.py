@@ -83,9 +83,10 @@ def _norm(x):
     return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
 
 
-def solve_moments(system: PicardFuchsSystem, extend_to: int = None) -> np.ndarray:
-    """LU solve (partial pivoting) for I_0..I_{2n-2}, optionally extended to
-    I_{extend_to} by further integration-by-parts rows
+def solve_moments(system: PicardFuchsSystem) -> np.ndarray:
+    """LU solve (partial pivoting) for I_0..I_{2n-2}, extended to the highest
+    moment the Jacobian reads, I_{i2 + dc} (the polynomial's tmp_indices[2]
+    plus grad_offsets[2]), by further integration-by-parts rows
 
         sum_j j a_j I_{j+m-1} = 2 m zeta_{m-1},   m = n, n+1, ...
 
@@ -122,8 +123,8 @@ def solve_moments(system: PicardFuchsSystem, extend_to: int = None) -> np.ndarra
     loose = resid > 1e-10 * np.maximum(_norm(rhs), 1.0)
     flag_rows(failures, loose, lambda i: IllConditioned(f"residual {resid[i]:.3e} too large"))
     I[failed | loose] = np.nan
-    n = system.poly.degree
-    if extend_to is not None and extend_to > 2 * n - 2:
+    n, extend_to = system.poly.degree, system.poly.tmp_indices[2] + system.poly.grad_offsets[2]
+    if extend_to > 2 * n - 2:
         a = np.asarray(system.poly.coeffs, dtype=float).reshape(B, n + 1)
         zeta = np.asarray(system.moments.zeta).reshape(B, -1)
         I = np.concatenate([I, np.zeros((B, extend_to - (2 * n - 2)))], axis=1)
@@ -202,7 +203,7 @@ def moment_jacobian(moments: MomentTable) -> ParamJacobian:
     ParamJacobian, a batch table a batch one.  The table is not changed."""
     poly = moments.poly
     system = build_system(poly, moments)
-    I = solve_moments(system, extend_to=poly.tmp_indices[2] + poly.grad_offsets[2])
+    I = solve_moments(system)
     # J[row, col] = (-1/2, -1/2, +1/4)[col] * I_{k_row + (da, 0, dc)[col]}
     J = I[..., np.add.outer(poly.tmp_indices, poly.grad_offsets)] * (-0.5, -0.5, 0.25)
     T, M, P = moments.tmp

@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
-from modwave import (WaveParams, bo_eval, classify_parameters, kdv_params_from_roots,
+from modwave import (WaveParams, classify_parameters, kdv_params_from_roots,
                      kdv_spec, mkdv_spec, schamel_spec)
-from modwave.bloch import _bloch_operator, _period_grid, _sampled_coeffs
+from modwave.bloch import _bloch_operator
 from modwave.equations import discriminant, potential_polynomial
 from modwave.waves import fourier_coefficients, quadrature_TMPH
 
@@ -133,14 +133,16 @@ def exact_local_assembler(profile, N):
     bloch.local_assembler, without its choice of a smaller size, so that
     two truncations can be compared."""
     gk, total = fourier_coefficients(profile, profile.spec.fprime(), 2 * N)
-    coeffs = np.concatenate([gk, np.conj(gk[:0:-1])])
-    return _bloch_operator(coeffs, total, N, profile.period,
+    return _bloch_operator(gk, total, N, profile.period,
                            lambda theta: -theta ** 2, profile.params.c)
 
 
 def exact_bo_assembler(params, N):
     """xi -> L_xi of a Benjamin-Ono wave on exactly the modes |n| <= N:
-    bloch.bo_assembler without its choice of a smaller size."""
-    u = bo_eval(params, _period_grid(params.period, N))
-    return _bloch_operator(*_sampled_coeffs(2.0 * u), N, params.period,
+    bloch.bo_assembler's closed-form coefficients of 2u without its choice
+    of a smaller size."""
+    k, s = params.k, params.s
+    g0 = 2.0 * k - (s + params.c)
+    g = np.append(g0, 2.0 * k * np.sqrt((s - k) / (s + k)) ** np.arange(1, 2 * N + 1))
+    return _bloch_operator(g, g0 ** 2 + 4.0 * k * (s - k), N, params.period,
                            lambda theta: -np.abs(theta), params.c, xi_power=1)

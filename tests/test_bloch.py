@@ -279,6 +279,54 @@ def test_local_assembler_never_inverts_a_resolved_profile(kdv, kdv_wave310, monk
     assert tried and prof(0.3) == first and series_sums == tried
 
 
+@pytest.mark.parametrize("N", [0, -2])
+@pytest.mark.parametrize("make", [
+    lambda N: local_assembler(resolve_profile(kdv_spec(), kdv_params_from_roots(3.0, 1.0, 0.0)),
+                              N),
+    lambda N: bo_assembler(BOWaveParams(0.0, 1.0, -2.0), N),
+    lambda N: whitham_assembler(stokes_expand(1.0, 0.1, 0.0, whitham_symbol()),
+                                whitham_symbol(), N),
+    lambda N: assemble_nonlocal(bo_symbol(), np.ones(16), -2.0, 0.01, N, 2.0 * np.pi)],
+    ids=["local", "bo", "whitham", "nonlocal"])
+def test_every_assembler_refuses_fewer_than_one_mode(make, N):
+    with pytest.raises(ResolutionError, match="N >= 1 required"):
+        make(N)
+
+
+def test_closed_form_assemblers_never_sample_the_wave(monkeypatch):
+    import modwave.bloch
+    from modwave.smallamp import StokesWave
+
+    def forbidden(*args):
+        raise AssertionError("an assembler sampled a closed-form wave")
+
+    monkeypatch.setattr(modwave.bloch, "bo_eval", forbidden)
+    monkeypatch.setattr(StokesWave, "profile", forbidden)
+    modulation_slopes(bo_assembler(BOWaveParams(0.0, 1.0, -2.0), N=64))
+    sym = whitham_symbol()
+    instability_bubble_scan(whitham_assembler(stokes_expand(1.0, 0.1, 0.0, sym), sym, N=16),
+                            [0.1, 0.2])
+
+
+@pytest.mark.parametrize("a, k, c", [(0.0, 1.0, -2.0), (0.0, 1.8, -2.0), (-0.3, 0.8, -1.5),
+                                     (0.5, 0.7, -2.5)])
+def test_bo_closed_form_series_matches_the_samples(a, k, c, monkeypatch):
+    # the coefficients and total energy bo_assembler hands the builder are
+    # those of 2u on a dense grid: FFT and mean square (Parseval)
+    import modwave.bloch
+    params, N, seen = BOWaveParams(a, k, c), 48, []
+    build = modwave.bloch._bloch_operator
+    monkeypatch.setattr(modwave.bloch, "_bloch_operator",
+                        lambda g, total, *rest, **kw: seen.append((g, total)) or
+                        build(g, total, *rest, **kw))
+    bo_assembler(params, N)
+    (g, total), = seen
+    u2 = 2.0 * bo_eval(params, _grid(params.period, 4 * N))
+    assert abs(total - np.mean(u2 ** 2)) <= 1e-13 * total
+    sampled = np.fft.rfft(u2)[:2 * N + 1] / len(u2)
+    assert np.max(np.abs(g - sampled)) <= 1e-13 * np.max(np.abs(g))
+
+
 def test_truncation_refuses_non_finite_coefficients():
     coeffs = np.zeros(9, dtype=complex)
     coeffs[0], coeffs[2] = 1.0, np.nan

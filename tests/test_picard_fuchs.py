@@ -137,12 +137,14 @@ def test_pivoting_robustness(kdv, kdv_wave310):
 
 
 def test_moment_extension_consistency():
-    # Schamel I_9 from the extension row must satisfy the m = 5 recurrence
+    # Schamel's I_9, from the extension row solve_moments adds for its
+    # Jacobian, must satisfy the m = 5 recurrence
     spec = schamel_spec()
     p = schamel_params_from_interval(0.6, 1.2, -1.0)
     table = zeta_moments(spec, p, 5)
     sys_ = build_system(table.poly, table)
-    I = solve_moments(sys_, extend_to=9)
+    I = solve_moments(sys_)
+    assert len(I) == 10
     a = np.asarray(table.poly.coeffs)
     resid = sum(j * a[j] * I[j + 4] for j in range(1, 6)) - 10.0 * table.zeta[4]
     assert abs(resid) < 1e-9 * max(1.0, np.max(np.abs(I)))
